@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Three routes to the same smoothing solve.
 
-The smoothing operator A = I + sigma * L (L the periodic second difference)
-is circulant, so A x = y can be solved by Fourier diagonalization, by
-tridiagonal elimination with a rank-one corner fix, or by dense Gaussian
-elimination.  This script solves one system all three ways, confirms the
+The smoothing operator A = I - sigma * L (L the periodic second difference,
+so A has 1 + 2 sigma on the diagonal) is circulant, so A x = y can be solved
+by Fourier diagonalization, by tridiagonal elimination with a rank-one
+corner fix, or by dense Gaussian elimination.  This script solves one system all three ways, confirms the
 answers agree, and shows how the smoothed solution flattens the input.
 """
 

@@ -54,6 +54,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _from_flags(build, *args, **kwargs):
+    """Build a library object from flag values; a rejection is a usage error."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _fmt(x):
     return f"{x:.17g}"
 
@@ -142,7 +150,7 @@ def _cmd_smooth(args):
     if len(y) != n:
         raise UsageError(
             f"--input holds {len(y)} values but --n is {n}")
-    op = CirculantSmoother(n, args.sigma)
+    op = _from_flags(CirculantSmoother, n, args.sigma)
     if args.method == "dft":
         x = op.solve_dft(y)
     elif args.method == "thomas":
@@ -161,7 +169,8 @@ def _cmd_optimize(args):
             f"--x0 holds {len(x0)} values but the objective has "
             f"dimension {objective.dim}")
     schedule = _make_schedule(args.schedule)
-    config = RunConfig(
+    config = _from_flags(
+        RunConfig,
         eta=args.eta,
         max_iters=args.iters,
         eps_stationary=args.eps,
@@ -278,11 +287,21 @@ def _cmd_sweep(args):
             raise UsageError("sweeps need a 2-dimensional objective")
     schedule = (ConstantSigma(0.0) if args.optimizer == "gd"
                 else RatioSigma())
-    grid = PolarGrid(
+    grid = _from_flags(
+        PolarGrid,
         r_min=args.r_min, r_max=args.r_max, r_step=args.r_step,
         theta_min_deg=-180.0, theta_max_deg=180.0,
         theta_step_deg=args.coarse_theta_step)
-    config = RunConfig(eta=args.eta, max_iters=args.iters)
+    # the fine window is built around the coarse argmin later; check its
+    # flags now, centred on 0, so they fail as usage errors too
+    _from_flags(
+        PolarGrid,
+        r_min=args.r_min, r_max=args.r_min, r_step=args.r_step,
+        theta_min_deg=-args.halfwidth, theta_max_deg=args.halfwidth,
+        theta_step_deg=args.fine_theta_step)
+    if args.threads is not None and args.threads < 1:
+        raise UsageError(f"--threads must be >= 1, got {args.threads}")
+    config = _from_flags(RunConfig, eta=args.eta, max_iters=args.iters)
     coarse, fine, summary = two_scale_search(
         objective, grid, config, schedule,
         refine_halfwidth_deg=args.halfwidth,
@@ -382,7 +401,8 @@ def _build_parser():
     p.add_argument("--eta", type=float, default=0.1, help="step size")
     p.add_argument("--iters", type=int, default=100, help="step budget")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: hardware)")
+                   help="worker threads, at most the available CPUs "
+                        "(default: run inline)")
     p.add_argument("--out", default=None, help="fine-field CSV path")
     p.add_argument("--coarse-out", default=None,
                    help="coarse-field CSV path")

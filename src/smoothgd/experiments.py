@@ -214,15 +214,18 @@ def sweep(objective, grid, config, schedule, threads=None):
     config : RunConfig; trajectory recording must be off (a grid of
         trajectories would defeat the flat-memory design)
     schedule : sigma schedule, shared by all cells
-    threads : worker count for chunked execution (None or 1 runs inline).
-        Results are written into place by grid position, and every
-        operation is elementwise, so the output is identical for any
-        thread count.
+    threads : worker count for chunked execution, an integer >= 1 (None
+        or 1 runs inline).  It is clamped to the available CPUs.  Results
+        are written into place by grid position, and every operation is
+        elementwise, so the output is identical for any thread count.
 
     Returns a :class:`DistanceField` in radius-major grid order.
     """
     if objective.dim != 2:
         raise ValueError(f"sweeps are 2-d only, got dim {objective.dim}")
+    if threads is not None and (not isinstance(threads, (int, np.integer))
+                                or threads < 1):
+        raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if config.record_trajectory:
         raise ValueError("trajectory recording is not supported in sweeps")
     r_vals = grid.r_values()
@@ -249,10 +252,10 @@ def sweep(objective, grid, config, schedule, threads=None):
         status[lo:hi] = st
 
     total = len(r)
-    if threads is None or threads <= 1 or total < 2:
+    workers = 1 if threads is None else min(int(threads), _available_cpus())
+    if workers <= 1 or total < 2:
         work(0, total)
     else:
-        workers = int(threads)
         chunk = max(1, -(-total // (4 * workers)))
         bounds = [(lo, min(lo + chunk, total))
                   for lo in range(0, total, chunk)]
@@ -272,6 +275,14 @@ def sweep(objective, grid, config, schedule, threads=None):
     return DistanceField(r=r, theta_deg=theta, x0=x0,
                          final_distance=distance, status=status,
                          metadata=metadata)
+
+
+def _available_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _describe_schedule(schedule):
@@ -338,7 +349,8 @@ def rate_check(objective, trials, eps, schedule, seed=0):
         direction /= np.linalg.norm(direction)
         x0 = direction * rng.uniform(0.0, 1.0)
         f0 = objective.value(x0)
-        bound = stationarity_bound_for(schedule, lipschitz, f0, eps)
+        bound = stationarity_iteration_bound(schedule.bound, lipschitz, f0,
+                                             0.0, eps)
         config = RunConfig(eta=1.0 / lipschitz,
                            max_iters=int(math.ceil(bound)) + 1,
                            eps_stationary=eps)
@@ -352,11 +364,6 @@ def rate_check(objective, trials, eps, schedule, seed=0):
             violated=not reached or used > bound,
         ))
     return reports
-
-
-def stationarity_bound_for(schedule, lipschitz, f0, eps):
-    """The schedule-bound iteration count for reaching eps-stationarity."""
-    return stationarity_iteration_bound(schedule.bound, lipschitz, f0, 0.0, eps)
 
 
 def atomic_write(path, text):

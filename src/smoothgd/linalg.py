@@ -1,9 +1,11 @@
-"""Dense symmetric eigensolver and linear solver used as reference routes.
+"""Symmetric eigendecomposition and a dense reference linear solver.
 
-Everything here is deliberately self-contained: the eigensolver is a cyclic
-Jacobi iteration and the linear solver is Gaussian elimination with partial
-pivoting.  They serve as independent cross-checks for the structured
-(Fourier / tridiagonal) routes in :mod:`smoothgd.smoothing`.
+The eigensolver is LAPACK's symmetric route (``numpy.linalg.eigh``) behind
+a descending, sign-fixed interface; the preconditioned eigenproblem
+A(sigma)^(-1) B is reduced to it by one similarity transform.  The linear
+solver is self-contained Gaussian elimination with partial pivoting, an
+independent cross-check for the structured (Fourier / tridiagonal) routes
+in :mod:`smoothgd.smoothing`.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,9 @@ __all__ = [
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine failed to reach its tolerance.
+    """A computed result failed its residual check.
 
-    Carries the last residual in ``residual``.
+    Carries the offending residual in ``residual``.
     """
 
     def __init__(self, message, residual):
@@ -79,112 +81,57 @@ def sign_normalize(v, tol=1e-10):
     return v
 
 
-def _off_norm(a):
-    off = a.copy()
-    np.fill_diagonal(off, 0.0)
-    return np.linalg.norm(off)
-
-
-def sym_eigendecompose(m, tol=1e-10, max_sweeps=30):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi sweeps.
-
-    Parameters
-    ----------
-    m : (n, n) array_like, symmetric
-    tol : float
-        Convergence threshold: sweeps stop once the off-diagonal Frobenius
-        mass drops below ``tol * ||m||_F``.
-    max_sweeps : int
-        Sweep budget; exceeding it raises :class:`ConvergenceError`.
+def sym_eigendecompose(m):
+    """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
 
     Returns
     -------
     list of EigenPair
-        Sorted by descending eigenvalue.  Vectors are orthonormal, and each
-        is sign-fixed so its first non-negligible entry is positive.
-        Numerically tied eigenvalues (gap below 1e-9 * ||m||_F) get their
-        vectors re-orthonormalized as a block, so ties still yield an
-        orthonormal basis of the shared eigenspace.
+        Sorted by descending eigenvalue.  Vectors are orthonormal, also
+        inside clusters of tied eigenvalues, and each is sign-fixed so its
+        first non-negligible entry is positive.
     """
-    a = _as_square(m).copy()
+    a = _as_square(m)
     _require_symmetric(a)
-    n = a.shape[0]
-    norm = np.linalg.norm(a)
-    if norm == 0.0:
-        return [EigenPair(0.0, np.eye(n)[:, i].copy()) for i in range(n)]
-    v = np.eye(n)
-    # Rotations below this size cannot push the off-diagonal mass past the
-    # convergence threshold, so they are skipped.
-    skip = tol * norm / (2.0 * n * n)
-    converged = False
-    off = _off_norm(a)
-    for _ in range(max_sweeps):
-        if off <= tol * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                d = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if d >= 0.0:
-                    t = 1.0 / (d + np.sqrt(d * d + 1.0))
-                else:
-                    t = 1.0 / (d - np.sqrt(d * d + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # A <- J^T A J applied as a column mix then a row mix.
-                aip = a[:, p].copy()
-                aiq = a[:, q]
-                a[:, p] = c * aip - s * aiq
-                a[:, q] = s * aip + c * aiq
-                arp = a[p, :].copy()
-                arq = a[q, :]
-                a[p, :] = c * arp - s * arq
-                a[q, :] = s * arp + c * arq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vip = v[:, p].copy()
-                viq = v[:, q]
-                v[:, p] = c * vip - s * viq
-                v[:, q] = s * vip + c * viq
-        off = _off_norm(a)
-    if not converged and off > tol * norm:
-        raise ConvergenceError(
-            f"Jacobi sweeps did not converge within {max_sweeps} sweeps",
-            off / norm)
-    values = np.diag(a).copy()
-    order = np.argsort(-values)
-    values = values[order]
-    vectors = v[:, order]
-    _reorthonormalize_ties(values, vectors, 1e-9 * norm)
+    values, vectors = np.linalg.eigh(a)
+    rows = vectors.T[::-1].copy()
+    return [EigenPair(float(value), sign_normalize(vec))
+            for value, vec in zip(values[::-1], rows)]
+
+
+def _similar_symmetric(op, b):
+    """A^(-1/2) B A^(-1/2), the symmetric matrix similar to A^(-1) B.
+
+    ``op`` is the smoother A; both sides are applied as one batched
+    transform each, the second to the transpose of the first result.
+    """
+    sym = op.inv_sqrt_apply(op.inv_sqrt_apply(b).T)
+    return 0.5 * (sym + sym.T)
+
+
+def _map_back(op, b, values, vectors):
+    """Eigenpairs of A^(-1) B from eigenvectors of its similar form.
+
+    ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
+    Each goes back through A^(-1/2), is renormalized and sign-fixed, and
+    must satisfy ||A^(-1) B v - lambda v|| <= 1e-8, checked with the
+    tridiagonal solve; otherwise :class:`ConvergenceError` is raised.
+    """
+    mapped = op.inv_sqrt_apply(vectors)
+    mapped /= np.linalg.norm(mapped, axis=0)
     pairs = []
-    for i in range(n):
-        vec = sign_normalize(vectors[:, i].copy())
-        vec /= np.linalg.norm(vec)
-        pairs.append(EigenPair(float(values[i]), vec))
+    for value, vec in zip(values, mapped.T.copy()):
+        vec = sign_normalize(vec)
+        residual = np.linalg.norm(op.solve(b @ vec) - value * vec)
+        if residual > 1e-8:
+            raise ConvergenceError(
+                "back-transformed eigenpair failed its residual check",
+                residual)
+        pairs.append(EigenPair(float(value), vec))
     return pairs
 
 
-def _reorthonormalize_ties(values, vectors, gap):
-    """Gram-Schmidt each run of eigenvalues closer than ``gap``, in place."""
-    n = len(values)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and abs(values[stop] - values[stop - 1]) <= gap:
-            stop += 1
-        if stop - start > 1:
-            block = vectors[:, start:stop]
-            for j in range(block.shape[1]):
-                for i in range(j):
-                    block[:, j] -= (block[:, i] @ block[:, j]) * block[:, i]
-                block[:, j] /= np.linalg.norm(block[:, j])
-        start = stop
-
-
-def eig_preconditioned_hessian(b, sigma, tol=1e-10):
+def eig_preconditioned_hessian(b, sigma):
     """Eigenpairs of A(sigma)^(-1) B for a symmetric matrix B.
 
     The product itself is not symmetric, but it is similar to the symmetric
@@ -196,27 +143,10 @@ def eig_preconditioned_hessian(b, sigma, tol=1e-10):
     """
     b = _as_square(b, "hessian")
     _require_symmetric(b, "hessian")
-    n = b.shape[0]
-    op = smoothing.CirculantSmoother(n, sigma)
-    half = np.empty_like(b)
-    for j in range(n):
-        half[:, j] = op.inv_sqrt_apply(b[:, j])
-    sym = np.empty_like(b)
-    for i in range(n):
-        sym[i, :] = op.inv_sqrt_apply(half[i, :])
-    sym = 0.5 * (sym + sym.T)
-    pairs = []
-    for pair in sym_eigendecompose(sym, tol=tol):
-        vec = op.inv_sqrt_apply(pair.vector)
-        vec /= np.linalg.norm(vec)
-        vec = sign_normalize(vec)
-        residual = np.linalg.norm(op.solve(b @ vec) - pair.value * vec)
-        if residual > 1e-8:
-            raise ConvergenceError(
-                "back-transformed eigenpair failed its residual check",
-                residual)
-        pairs.append(EigenPair(pair.value, vec))
-    return pairs
+    op = smoothing.CirculantSmoother(b.shape[0], sigma)
+    pairs = sym_eigendecompose(_similar_symmetric(op, b))
+    return _map_back(op, b, [p.value for p in pairs],
+                     np.column_stack([p.vector for p in pairs]))
 
 
 def dense_solve(m, y):

@@ -31,8 +31,6 @@ __all__ = [
     "RunResult",
     "NumericError",
     "GradientFunction",
-    "step_gd",
-    "step_smoothed",
     "run",
     "stationarity_iteration_bound",
 ]
@@ -110,7 +108,7 @@ class RunConfig:
     """Termination and bookkeeping knobs for a descent run.
 
     eta : step size, > 0
-    max_iters : step budget, >= 0
+    max_iters : step budget, an integer >= 0
     eps_stationary : stop once ||grad f|| <= eps_stationary
     escape_radius : stop once ||x|| exceeds it (inf disables)
     record_trajectory : keep every iterate (otherwise only endpoints)
@@ -125,8 +123,10 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if self.max_iters < 0:
-            raise ValueError(f"max_iters must be >= 0, got {self.max_iters}")
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or self.max_iters < 0):
+            raise ValueError(
+                f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if math.isnan(self.eps_stationary) or self.eps_stationary < 0.0:
             raise ValueError(
                 f"eps_stationary must be >= 0, got {self.eps_stationary}")
@@ -176,17 +176,6 @@ def _checked_gradient(objective, x, k, trajectory):
         raise NumericError("gradient has non-finite entries", x.copy(), k,
                            trajectory)
     return g
-
-
-def step_gd(x, grad, eta):
-    """One plain descent step x - eta * grad."""
-    return x - eta * grad
-
-
-def step_smoothed(x, grad, eta, sigma):
-    """One smoothed descent step x - eta * A(sigma)^(-1) grad."""
-    op = CirculantSmoother(len(x), sigma)
-    return x - eta * op.solve(grad)
 
 
 def run(objective, x0, config, schedule):

@@ -24,8 +24,8 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg
-from .linalg import EigenPair, sign_normalize
+from . import linalg, optimizers
+from .linalg import sign_normalize
 from .smoothing import CirculantSmoother
 
 __all__ = [
@@ -262,7 +262,7 @@ def eigen_structure(objective, sigma, tol=1e-8):
     if objective.is_canonical:
         pairs = _reflection_adapted_pairs(b, sigma)
     else:
-        pairs = linalg.eig_preconditioned_hessian(b, sigma, tol=min(tol, 1e-10))
+        pairs = linalg.eig_preconditioned_hessian(b, sigma)
     labels = [_classify(p.value, p.vector, tol) for p in pairs]
     strict = objective.is_canonical and sigma > 0.0
     if strict:
@@ -298,13 +298,7 @@ def _reflection_adapted_pairs(b, sigma):
     """
     n = b.shape[0]
     op = CirculantSmoother(n, sigma)
-    half = np.empty_like(b)
-    for j in range(n):
-        half[:, j] = op.inv_sqrt_apply(b[:, j])
-    sym = np.empty_like(b)
-    for i in range(n):
-        sym[i, :] = op.inv_sqrt_apply(half[i, :])
-    sym = 0.5 * (sym + sym.T)
+    sym = linalg._similar_symmetric(op, b)
     split = canonical_attraction_basis(n)
     pairs = []
     for block in (split.antisymmetric.rows, split.symmetric.rows):
@@ -312,15 +306,10 @@ def _reflection_adapted_pairs(b, sigma):
             continue
         restricted = block @ sym @ block.T
         restricted = 0.5 * (restricted + restricted.T)
-        for small in linalg.sym_eigendecompose(restricted, tol=1e-12):
-            vec = op.inv_sqrt_apply(block.T @ small.vector)
-            vec /= np.linalg.norm(vec)
-            vec = sign_normalize(vec)
-            residual = np.linalg.norm(op.solve(b @ vec) - small.value * vec)
-            if residual > 1e-8:
-                raise linalg.ConvergenceError(
-                    "block eigenpair failed its residual check", residual)
-            pairs.append(EigenPair(small.value, vec))
+        small = linalg.sym_eigendecompose(restricted)
+        pairs += linalg._map_back(
+            op, b, [p.value for p in small],
+            block.T @ np.column_stack([p.vector for p in small]))
     pairs.sort(key=lambda p: -p.value)
     return pairs
 
@@ -394,28 +383,16 @@ def laplacian_eigenspaces(n):
 
 
 def _kernel_coefficients(m_map, tol):
-    """Coefficient vectors alpha with m_map @ alpha ~ 0.
+    """Coefficient vectors alpha (rows) with m_map @ alpha ~ 0.
 
     The kernel is the orthogonal complement of the row space, found with
     two Gram-Schmidt passes: one over the rows to get a row-space basis,
-    one extending it by coordinate vectors.  No SVD involved.
+    one extending it by coordinate vectors; the rows past the row rank
+    span the kernel.  No SVD involved.
     """
-    width = m_map.shape[1]
     row_basis = _orthonormalize(m_map, drop_tol=tol)
-    extended = list(row_basis)
-    kernel = []
-    for i in range(width):
-        w = np.eye(width)[i]
-        for b in extended:
-            w -= (b @ w) * b
-        for b in extended:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm > tol:
-            w /= norm
-            extended.append(w)
-            kernel.append(w)
-    return kernel
+    extended = np.vstack([row_basis, np.eye(m_map.shape[1])])
+    return _orthonormalize(extended, drop_tol=tol)[len(row_basis):]
 
 
 def general_attraction_basis(objective, tol=1e-8):
@@ -515,10 +492,11 @@ def kernel_direction_fixed(objective, p, schedule, steps, eta=0.1):
     """Whether smoothed descent started at a kernel vector stays put.
 
     Requires ||B p|| <= 1e-10 * ||B|| * ||p|| (p must lie in the kernel of
-    the Hessian).  Runs ``steps`` smoothed-descent steps from p and returns
-    True iff every iterate stays within 1e-10 of p.  With an exact kernel
-    vector the gradient vanishes identically and the point never moves,
-    regardless of the schedule or step size.
+    the Hessian).  Runs up to ``steps`` smoothed-descent steps from p with
+    :func:`~smoothgd.optimizers.run` and returns True iff every recorded
+    iterate stays within 1e-10 of p.  With an exact kernel vector the
+    gradient vanishes identically, so the run stops at once as stationary
+    and the point never moves, regardless of the schedule or step size.
     """
     p = np.asarray(p, dtype=float)
     b = objective.matrix
@@ -529,24 +507,20 @@ def kernel_direction_fixed(objective, p, schedule, steps, eta=0.1):
     if np.linalg.norm(b @ p) > 1e-10 * norm * pnorm:
         raise ValueError(
             "p is not in the kernel of the matrix (||B p|| too large)")
-    x = p.copy()
-    drift = 0.0
-    for k in range(steps):
-        grad = objective.gradient(x)
-        op = CirculantSmoother(objective.dim, float(schedule(k)))
-        x = x - eta * op.solve(grad)
-        drift = max(drift, float(np.max(np.abs(x - p))))
-        if drift > 1e-10:
-            return False
-    return drift <= 1e-10
+    config = optimizers.RunConfig(eta=eta, max_iters=steps,
+                                  record_trajectory=True)
+    result = optimizers.run(objective, p, config, schedule)
+    return bool(np.max(np.abs(result.trajectory - p)) <= 1e-10)
 
 
 def principal_angle(a, b):
     """Largest principal angle between two equal-dimension subspaces, radians.
 
-    Zero means the spans coincide.  Computed from the smallest singular
-    value of the basis overlap matrix, obtained through the symmetric
-    eigensolver on its Gram matrix.
+    Zero means the spans coincide.  The cosine of the largest angle is the
+    smallest singular value of the overlap ra rb^T, and its sine is the
+    spectral norm of the part of ra outside span(rb); the angle is taken
+    from both with atan2, so it stays accurate down to round-off where an
+    arccos of the cosine alone bottoms out near 1e-8.
     """
     ra, rb = a.rows, b.rows
     if ra.shape[0] != rb.shape[0]:
@@ -555,7 +529,6 @@ def principal_angle(a, b):
     if ra.shape[0] == 0:
         return 0.0
     overlap = ra @ rb.T
-    gram = overlap @ overlap.T
-    smallest = min(p.value for p in linalg.sym_eigendecompose(gram))
-    cosine = np.sqrt(max(smallest, 0.0))
-    return float(np.arccos(np.clip(cosine, -1.0, 1.0)))
+    sine = np.linalg.norm(ra - overlap @ rb, 2)
+    cosine = np.linalg.svd(overlap, compute_uv=False)[-1]
+    return float(np.arctan2(sine, cosine))

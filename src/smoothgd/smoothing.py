@@ -200,25 +200,26 @@ class CirculantSmoother:
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.
 
-        Done per Fourier mode by dividing by sqrt(eigenvalue); applying it
-        twice reproduces a full solve.  For n = 2 the two modes are the
-        even/odd combinations (x0 +/- x1)/sqrt(2) and the same per-mode
-        scaling is applied directly.
+        ``x`` is a vector of shape (n,) or an (n, k) array whose columns
+        are transformed together, with one FFT pair along axis 0.  Each
+        Fourier mode is divided by sqrt(eigenvalue); applying it twice
+        reproduces a full solve.  For n = 2 the two DFT modes are the
+        even/odd combinations x0 +/- x1, so the same code covers it.
         """
-        x = self._check_vector(x)
-        if self._n == 2:
-            a = 1.0
-            b = 1.0 / np.sqrt(1.0 + 2.0 * self._sigma)
-            half_sum = 0.5 * (a + b)
-            half_dif = 0.5 * (a - b)
-            return np.array([
-                half_sum * x[0] + half_dif * x[1],
-                half_dif * x[0] + half_sum * x[1],
-            ])
-        xhat = np.fft.fft(x) / np.sqrt(self.spectrum())
-        out = np.fft.ifft(xhat)
-        drift = np.max(np.abs(out.imag))
-        if drift > 1e-10 * np.linalg.norm(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[0] != self._n:
+            raise ValueError(
+                f"expected shape ({self._n},) or ({self._n}, k), "
+                f"got {x.shape}")
+        if not np.all(np.isfinite(x)):
+            raise ValueError("input has non-finite entries")
+        scale = 1.0 / np.sqrt(self.spectrum())
+        if x.ndim == 2:
+            scale = scale[:, None]
+        out = np.fft.ifft(np.fft.fft(x, axis=0) * scale, axis=0)
+        drift = np.max(np.abs(out.imag), axis=0)
+        if np.any(drift > 1e-10 * np.linalg.norm(x, axis=0)):
             raise ArithmeticError(
-                f"inverse-sqrt apply produced imaginary drift {drift:.3e}")
+                f"inverse-sqrt apply produced imaginary drift "
+                f"{np.max(drift):.3e}")
         return out.real

@@ -234,10 +234,10 @@ def test_exit_codes(tmp_path, capsys):
     assert run_cli(["optimize", "--n", "2", "--x0", str(x0),
                     "--schedule", "warp:9"]) == 1
     capsys.readouterr()
-    # negative sigma -> computation error 2
+    # negative sigma is a flag value the library rejects -> usage error 1
     src = tmp_path / "y.txt"
     write_vector(src, [1.0, 2.0])
-    assert run_cli(["smooth", "--sigma", "-1", "--input", str(src)]) == 2
+    assert run_cli(["smooth", "--sigma", "-1", "--input", str(src)]) == 1
     capsys.readouterr()
     # malformed vector file -> usage error 1 naming the line
     bad = tmp_path / "bad.txt"
@@ -248,6 +248,28 @@ def test_exit_codes(tmp_path, capsys):
     # canonical objective without --n -> usage error 1
     assert run_cli(["analyze"]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["optimize", "--n", "2", "--iters", "-1"],
+    ["optimize", "--n", "2", "--eta", "0"],
+    ["smooth", "--sigma", "nan"],
+    ["sweep", "--halfwidth", "0"],
+    ["sweep", "--fine-theta-step", "-1e-5"],
+    ["sweep", "--r-min", "0"],
+    ["sweep", "--iters", "-1"],
+    ["sweep", "--threads", "0"],
+    ["sweep", "--threads", "-3"],
+])
+def test_rejected_flag_values_are_usage_errors(args, tmp_path, capsys):
+    vector = tmp_path / "v.txt"
+    write_vector(vector, [0.1, 0.2])
+    if args[0] == "optimize":
+        args = args + ["--x0", str(vector)]
+    elif args[0] == "smooth":
+        args = args + ["--input", str(vector)]
+    assert run_cli(args) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_version(capsys):

@@ -13,12 +13,13 @@ from smoothgd.experiments import (
     emit_csv,
     load_csv,
     rate_check,
-    stationarity_bound_for,
     sweep,
     two_scale_search,
     write_summary_json,
 )
-from smoothgd.optimizers import ConstantSigma, RatioSigma, RunConfig, RunStatus, run
+from smoothgd import experiments
+from smoothgd.optimizers import (ConstantSigma, RatioSigma, RunConfig, RunStatus,
+                                 run, stationarity_iteration_bound)
 from smoothgd.saddle import QuadraticObjective, canonical_objective
 
 
@@ -105,6 +106,45 @@ def test_sweep_thread_count_irrelevant(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("threads", [0, -3, 2.5])
+def test_sweep_rejects_bad_thread_count(threads):
+    grid = PolarGrid(0.1, 0.2, 0.1, -180.0, 180.0, 90.0)
+    with pytest.raises(ValueError):
+        sweep(SWAP, grid, RunConfig(max_iters=5), RatioSigma(), threads=threads)
+
+
+def test_sweep_clamps_threads_to_cpus(monkeypatch):
+    # a fake executor records its worker count and runs the work inline,
+    # so no thread is ever started
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: 3)
+    grid = PolarGrid(0.1, 0.4, 0.1, -180.0, 180.0, 10.0)
+    config = RunConfig(eta=0.1, max_iters=40, escape_radius=30.0)
+    many = sweep(SWAP, grid, config, RatioSigma(), threads=100000)
+    assert asked == [3]
+    inline = sweep(SWAP, grid, config, RatioSigma())
+    assert asked == [3]
+    np.testing.assert_array_equal(many.final_distance, inline.final_distance)
+    monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
+    sweep(SWAP, grid, config, RatioSigma(), threads=8)
+    assert asked == [3]
+
+
 def test_sweep_rejects_bad_input():
     grid = small_grid()
     with pytest.raises(ValueError):
@@ -172,7 +212,7 @@ def test_rate_check_identity_one_step():
                          seed=11)
     for report in reports:
         assert report.empirical_iters <= 1
-    assert stationarity_bound_for(ConstantSigma(0.0), 1.0, 0.5, 0.1) == pytest.approx(100.0)
+    assert stationarity_iteration_bound(0.0, 1.0, 0.5, 0.0, 0.1) == pytest.approx(100.0)
 
 
 def test_rate_check_rejects_indefinite():
@@ -233,9 +273,9 @@ def test_atomic_write_no_partial_file(tmp_path):
 
 
 def test_bound_formula_cross_check():
-    # stationarity_bound_for must match the closed form for the plateau bound
+    # the bound at the ratio schedule's C must match the closed form
     schedule = RatioSigma()
-    bound = stationarity_bound_for(schedule, 2.0, 1.0, 1e-2)
+    bound = stationarity_iteration_bound(schedule.bound, 2.0, 1.0, 0.0, 1e-2)
     c = schedule.bound
     expect = 2.0 * (1 + 4 * c) ** 2 * 2.0 * 1.0 / ((1 + 8 * c) * 1e-4)
     assert bound == pytest.approx(expect, rel=1e-15)

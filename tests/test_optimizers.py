@@ -53,6 +53,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(eta=0.1, max_iters=-1)
     with pytest.raises(ValueError):
+        RunConfig(eta=0.1, max_iters=2.5)
+    with pytest.raises(ValueError):
+        RunConfig(eta=0.1, max_iters=100.0)
+    assert RunConfig(eta=0.1, max_iters=np.int64(3)).max_iters == 3
+    with pytest.raises(ValueError):
         RunConfig(eta=0.1, max_iters=10, eps_stationary=-1e-9)
     with pytest.raises(ValueError):
         RunConfig(eta=0.1, max_iters=10, escape_radius=0.0)

@@ -194,6 +194,10 @@ def test_principal_angle_basics():
     b = SubspaceBasis(np.array([[0.0, 1.0]]))
     assert principal_angle(a, a) <= 1e-12
     assert principal_angle(a, b) == pytest.approx(math.pi / 2, abs=1e-12)
+    # small angles resolve well below the 1e-8 floor of an arccos route
+    for angle in (1e-9, 1e-12):
+        turned = SubspaceBasis(np.array([[math.cos(angle), math.sin(angle)]]))
+        assert principal_angle(a, turned) == pytest.approx(angle, rel=1e-6)
     wide = SubspaceBasis(np.eye(3)[:2])
     with pytest.raises(ValueError):
         principal_angle(a, wide)
