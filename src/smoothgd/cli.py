@@ -226,8 +226,10 @@ def _cmd_analyze(args):
         "degenerate": bool(kernel),
     }
     per_sigma = []
+    structures = []
     for s in sigmas:
         es = eigen_structure(objective, s)
+        structures.append(es)
         entry = {"sigma": s,
                  "eigenvalues": [p.value for p in es.pairs]}
         if es.labels is not None and all(l is not None for l in es.labels):
@@ -250,10 +252,9 @@ def _cmd_analyze(args):
         if objective.is_canonical:
             basis = canonical_attraction_basis(objective.dim).antisymmetric
             worst = 0.0
-            for s in sigmas:
+            for s, es in zip(sigmas, structures):
                 if s <= 0:
                     continue
-                es = eigen_structure(objective, s)
                 anti = es.span(ModeClass.ANTISYMMETRIC_SINE)
                 worst = max(worst, principal_angle(anti, basis))
             report["sigma_independent"] = worst <= 1e-7

@@ -1,13 +1,26 @@
 """Distance-field experiments on polar grids of starting points.
 
 A sweep runs the same 2-d descent from every point of a polar grid and
-records how far each run ends from the origin (the saddle).  Because the
-iteration on a quadratic is linear, all grid cells advance together as
-flat arrays, one schedule step at a time; termination checks mirror
-:func:`smoothgd.optimizers.run` cell by cell, in the same order
-(stationarity, step budget, escape).  Every arithmetic operation is
-elementwise across cells, so results do not depend on how the grid is
-chunked across threads.
+records how far each run ends from the origin (the saddle).  The iteration
+on a quadratic is linear, and a sweep takes one of two routes, chosen by
+the run configuration alone:
+
+* **Step map.**  When no termination rule can fire before the budget
+  (``eps_stationary == 0`` and ``escape_radius == inf``, the CLI default),
+  every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  The
+  step kernel advances the two unit vectors to give T's columns, T is
+  applied to all cells at once, and each cell's status comes from its
+  final point.  This route runs inline and ignores ``threads``.  If T is
+  not finite, the sweep falls back to the step kernel for the whole grid.
+* **Step kernel.**  Otherwise all grid cells advance together as flat
+  arrays, one schedule step at a time; termination checks mirror
+  :func:`smoothgd.optimizers.run` cell by cell, in the same order
+  (stationarity, step budget, escape).  Every arithmetic operation is
+  elementwise across cells, so results do not depend on how the grid is
+  chunked across threads.
+
+The kernel is the only code that takes a step, and it is the reference the
+tests compare the step-map route with.
 """
 
 import json
@@ -15,7 +28,7 @@ import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,6 +60,11 @@ STATUS_STRINGS = (
 )
 _STATIONARY, _MAX_ITERS, _ESCAPED, _FAILED = range(4)
 _ACTIVE = -1
+
+# Largest grid a PolarGrid may describe.  It admits the CLI's default
+# coarse grid (3.6M cells) and bounds a sweep's memory: each of its flat
+# float64 arrays takes 80 MB at this size.
+MAX_GRID_CELLS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -80,19 +98,32 @@ class PolarGrid:
         if not (0.0 < span <= 360.0):
             raise ValueError(
                 f"need 0 < theta span <= 360 degrees, got {span}")
+        if self.cells > MAX_GRID_CELLS:
+            raise ValueError(
+                f"grid has {self.cells:.3g} cells, more than the "
+                f"{MAX_GRID_CELLS:.0e} allowed; use coarser steps")
+
+    def _r_count(self):
+        # ratios are clamped to the cap before rounding, so a tiny step
+        # cannot overflow; any clamped grid exceeds the cap and is rejected
+        ratio = (self.r_max - self.r_min) / self.r_step
+        return int(math.floor(min(ratio, MAX_GRID_CELLS) + 1e-9)) + 1
+
+    def _theta_count(self):
+        span = self.theta_max_deg - self.theta_min_deg
+        ratio = span / self.theta_step_deg
+        return int(math.ceil(min(ratio, MAX_GRID_CELLS + 1) - 1e-9))
 
     def r_values(self):
-        count = int(math.floor((self.r_max - self.r_min) / self.r_step + 1e-9)) + 1
-        return self.r_min + self.r_step * np.arange(count)
+        return self.r_min + self.r_step * np.arange(self._r_count())
 
     def theta_values(self):
-        span = self.theta_max_deg - self.theta_min_deg
-        count = int(math.ceil(span / self.theta_step_deg - 1e-9))
-        return self.theta_min_deg + self.theta_step_deg * np.arange(count)
+        return (self.theta_min_deg
+                + self.theta_step_deg * np.arange(self._theta_count()))
 
     @property
     def cells(self):
-        return len(self.r_values()) * len(self.theta_values())
+        return self._r_count() * self._theta_count()
 
 
 @dataclass(frozen=True)
@@ -166,7 +197,7 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
     Returns final coordinates and per-cell status codes.  Mirrors
     optimizers.run: at each k the order is stationarity check, budget
     check, escape check, then one smoothed step shared by every still
-    active cell.
+    active cell.  A sigma that run() would reject raises ValueError.
     """
     x0 = x0c.copy()
     x1 = x1c.copy()
@@ -198,7 +229,10 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
         active &= ~escaped
         if not np.any(active):
             break
-        s0, s1 = solve_smoothed_pair(float(schedule(k)), g0, g1)
+        sigma = float(schedule(k))
+        if not (math.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+        s0, s1 = solve_smoothed_pair(sigma, g0, g1)
         x0 = np.where(active, x0 - eta * s0, x0)
         x1 = np.where(active, x1 - eta * s1, x1)
     return x0, x1, status
@@ -213,11 +247,21 @@ def sweep(objective, grid, config, schedule, threads=None):
     grid : PolarGrid
     config : RunConfig; trajectory recording must be off (a grid of
         trajectories would defeat the flat-memory design)
-    schedule : sigma schedule, shared by all cells
-    threads : worker count for chunked execution, an integer >= 1 (None
-        or 1 runs inline).  It is clamped to the available CPUs.  Results
-        are written into place by grid position, and every operation is
+    schedule : sigma schedule, shared by all cells; a sigma that is not
+        finite and >= 0 raises ValueError, as in :func:`run`
+    threads : worker count for the step kernel, an integer >= 1 (None or
+        1 runs inline).  It is clamped to the available CPUs.  Results are
+        written into place by grid position, and every operation is
         elementwise, so the output is identical for any thread count.
+
+    The config picks the route.  With ``eps_stationary == 0`` and
+    ``escape_radius == inf`` no rule can end a run before the budget, so
+    every cell ends at T x0, where T is the accumulated 2x2 step map; it is
+    built by stepping the two unit vectors and applied to all cells inline,
+    whatever ``threads`` says.  A cell is ``failed`` if its final point or
+    gradient is not finite, ``reached_stationary`` if its final gradient is
+    zero, and ``max_iters`` otherwise.  If T itself is not finite, or any
+    termination rule is enabled, every cell is stepped by the kernel.
 
     Returns a :class:`DistanceField` in radius-major grid order.
     """
@@ -236,31 +280,15 @@ def sweep(objective, grid, config, schedule, threads=None):
     x0[:, 0] = r * np.cos(np.radians(theta))
     x0[:, 1] = r * np.sin(np.radians(theta))
     scale = objective.scale
-    b00 = scale * objective.matrix[0, 0]
-    b01 = scale * objective.matrix[0, 1]
-    b11 = scale * objective.matrix[1, 1]
+    b = (scale * objective.matrix[0, 0], scale * objective.matrix[0, 1],
+         scale * objective.matrix[1, 1])
 
-    final0 = np.empty(len(r))
-    final1 = np.empty(len(r))
-    status = np.empty(len(r), dtype=np.int8)
-
-    def work(lo, hi):
-        f0, f1, st = _advance_cells(
-            b00, b01, b11, x0[lo:hi, 0], x0[lo:hi, 1], config, schedule)
-        final0[lo:hi] = f0
-        final1[lo:hi] = f1
-        status[lo:hi] = st
-
-    total = len(r)
-    workers = 1 if threads is None else min(int(threads), _available_cpus())
-    if workers <= 1 or total < 2:
-        work(0, total)
-    else:
-        chunk = max(1, -(-total // (4 * workers)))
-        bounds = [(lo, min(lo + chunk, total))
-                  for lo in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: work(*b), bounds))
+    final = None
+    if config.eps_stationary == 0.0 and config.escape_radius == math.inf:
+        final = _map_cells(b, x0, config, schedule)
+    if final is None:
+        final = _kernel_cells(b, x0, config, schedule, threads)
+    final0, final1, status = final
 
     distance = np.hypot(final0, final1)
     distance[status == _FAILED] = math.nan
@@ -275,6 +303,49 @@ def sweep(objective, grid, config, schedule, threads=None):
     return DistanceField(r=r, theta_deg=theta, x0=x0,
                          final_distance=distance, status=status,
                          metadata=metadata)
+
+
+def _map_cells(b, x0, config, schedule):
+    """Final points and statuses from the accumulated step map T.
+
+    Only valid when no termination rule can fire before the budget.  The
+    kernel steps the unit vectors to T's columns; T x0 is then checked at
+    the budget by the kernel itself, so statuses follow its order.
+    Returns None if T is not finite.
+    """
+    (t00, t01), (t10, t11), _ = _advance_cells(
+        *b, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config, schedule)
+    if not all(map(math.isfinite, (t00, t01, t10, t11))):
+        return None
+    f0 = t00 * x0[:, 0] + t01 * x0[:, 1]
+    f1 = t10 * x0[:, 0] + t11 * x0[:, 1]
+    return _advance_cells(*b, f0, f1, replace(config, max_iters=0), schedule)
+
+
+def _kernel_cells(b, x0, config, schedule, threads):
+    """Final points and statuses from stepping every cell, maybe threaded."""
+    total = len(x0)
+    final0 = np.empty(total)
+    final1 = np.empty(total)
+    status = np.empty(total, dtype=np.int8)
+
+    def work(lo, hi):
+        f0, f1, st = _advance_cells(
+            *b, x0[lo:hi, 0], x0[lo:hi, 1], config, schedule)
+        final0[lo:hi] = f0
+        final1[lo:hi] = f1
+        status[lo:hi] = st
+
+    workers = 1 if threads is None else min(int(threads), _available_cpus())
+    if workers <= 1 or total < 2:
+        work(0, total)
+    else:
+        chunk = max(1, -(-total // (4 * workers)))
+        bounds = [(lo, min(lo + chunk, total))
+                  for lo in range(0, total, chunk)]
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(lambda bound: work(*bound), bounds))
+    return final0, final1, status
 
 
 def _available_cpus():
@@ -367,12 +438,19 @@ def rate_check(objective, trials, eps, schedule, seed=0):
 
 
 def atomic_write(path, text):
-    """Write text to path via a sibling temp file and rename."""
+    """Write text to path via a sibling temp file and rename.
+
+    ``text`` is a string or an iterable of strings written in order, so
+    large outputs can be streamed.  The file appears complete or not at
+    all: if writing fails, the temp file is removed.
+    """
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -382,23 +460,32 @@ def atomic_write(path, text):
         raise
 
 
+_CSV_HEADER = "r,theta_deg,x0_0,x0_1,final_distance,status"
+_CSV_BLOCK_ROWS = 8192
+_csv_row = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n".__mod__
+
+
 def emit_csv(field, path):
     """Write a distance field as CSV with metadata header comments.
 
     Floats are rendered with 17 significant digits so parsing the file
-    back reproduces them bit for bit.  The write is atomic: the file
-    appears complete or not at all.
+    back reproduces them bit for bit.  Rows are formatted and written in
+    blocks, so memory does not grow with the field.  The write is atomic:
+    the file appears complete or not at all.
     """
-    lines = []
-    for key in sorted(field.metadata):
-        lines.append(f"# {key}: {field.metadata[key]}")
-    lines.append("r,theta_deg,x0_0,x0_1,final_distance,status")
-    names = STATUS_STRINGS
-    for i in range(len(field)):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
-            field.r[i], field.theta_deg[i], field.x0[i, 0], field.x0[i, 1],
-            field.final_distance[i], names[field.status[i]]))
-    atomic_write(path, "\n".join(lines) + "\n")
+    atomic_write(path, _csv_blocks(field))
+
+
+def _csv_blocks(field):
+    yield "".join(f"# {key}: {field.metadata[key]}\n"
+                  for key in sorted(field.metadata)) + _CSV_HEADER + "\n"
+    for lo in range(0, len(field), _CSV_BLOCK_ROWS):
+        rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+        yield "".join(map(_csv_row, zip(
+            field.r[rows].tolist(), field.theta_deg[rows].tolist(),
+            field.x0[rows, 0].tolist(), field.x0[rows, 1].tolist(),
+            field.final_distance[rows].tolist(),
+            [STATUS_STRINGS[code] for code in field.status[rows].tolist()])))
 
 
 def load_csv(path):
@@ -417,7 +504,7 @@ def load_csv(path):
                 continue
             if header is None:
                 header = line
-                if header != "r,theta_deg,x0_0,x0_1,final_distance,status":
+                if header != _CSV_HEADER:
                     raise ValueError(f"unrecognized CSV header: {header!r}")
                 continue
             rows.append(line.split(","))

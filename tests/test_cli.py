@@ -272,6 +272,22 @@ def test_rejected_flag_values_are_usage_errors(args, tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args", [
+    ["--coarse-theta-step", "1e-9"],
+    ["--coarse-theta-step", "1e-320"],
+    ["--fine-theta-step", "1e-9"],
+    ["--r-max", "1e300", "--r-step", "1e-300"],
+])
+def test_oversized_sweep_grids_are_usage_errors(args, capsys, monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    assert run_cli(["sweep"] + args) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "cells" in err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["--version"])

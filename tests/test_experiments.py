@@ -2,6 +2,9 @@
 
 import json
 import math
+import sys
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +54,152 @@ def test_grid_validation():
         PolarGrid(0.1, 1.0, 0.1, 90.0, 90.0, 1.0)
     with pytest.raises(ValueError):
         PolarGrid(0.1, 1.0, -0.1, 0.0, 90.0, 1.0)
+
+
+def test_grid_cell_cap_allocates_nothing(monkeypatch):
+    def no_arange(*args, **kwargs):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(np, "arange", no_arange)
+    cli_default = PolarGrid(0.1, 1.0, 0.1, -180.0, 180.0, 1e-3)
+    assert cli_default.cells == 3_600_000
+    at_cap = PolarGrid(1.0, 10.0, 1.0, 0.0, 360.0, 3.6e-4)
+    assert at_cap.cells == experiments.MAX_GRID_CELLS
+    for args in [(1.0, 11.0, 1.0, 0.0, 360.0, 3.6e-4),
+                 (0.1, 1.0, 0.1, -180.0, 180.0, 1e-9),
+                 (0.1, 1.0, 0.1, -180.0, 180.0, 1e-320),
+                 (0.1, 1e300, 1e-300, 0.0, 90.0, 90.0)]:
+        with pytest.raises(ValueError, match="cells"):
+            PolarGrid(*args)
+
+
+def _kernel_route(config):
+    # an escape radius no float64 iterate can exceed changes no result but
+    # sends the sweep down the step kernel
+    return replace(config, escape_radius=sys.float_info.max)
+
+
+def _rotated_saddle():
+    phi = 0.3
+    rot = np.array([[math.cos(phi), -math.sin(phi)],
+                    [math.sin(phi), math.cos(phi)]])
+    return QuadraticObjective(rot @ np.diag([1.7, -0.9]) @ rot.T)
+
+
+FIELD_CASES = {
+    "example 1, mlsgd": (canonical_objective(2, scale=2.0), RatioSigma()),
+    "example 2, mlsgd": (QuadraticObjective(np.array([[2.0, 6.0],
+                                                      [6.0, 4.0]])),
+                         RatioSigma()),
+    "rotated saddle, gd": (_rotated_saddle(), ConstantSigma(0.0)),
+}
+
+
+def _away_from_dip(field):
+    # the dip's distances are round-off in any route; compare elsewhere
+    gain = np.max(field.final_distance / field.r)
+    return field.final_distance >= 1e-6 * gain * field.r
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_step_map_route_matches_step_kernel(case):
+    objective, schedule = FIELD_CASES[case]
+    grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 0.25)
+    config = RunConfig(eta=0.1, max_iters=100)
+    fast = sweep(objective, grid, config, schedule)
+    slow = sweep(objective, grid, _kernel_route(config), schedule)
+    np.testing.assert_array_equal(fast.status, slow.status)
+    away = _away_from_dip(slow)
+    assert np.sum(~away) < 10
+    np.testing.assert_allclose(fast.final_distance[away],
+                               slow.final_distance[away], rtol=1e-10)
+    assert np.argmin(fast.final_distance) == np.argmin(slow.final_distance)
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_CASES))
+def test_step_map_route_matches_scalar_runs(case):
+    objective, schedule = FIELD_CASES[case]
+    grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 20.0)
+    config = RunConfig(eta=0.1, max_iters=100)
+    field = sweep(objective, grid, config, schedule)
+    assert np.all(_away_from_dip(field))
+    for i in range(len(field)):
+        result = run(objective, field.x0[i], config, schedule)
+        assert field.status_strings()[i] == result.status.value
+        np.testing.assert_allclose(field.final_distance[i],
+                                   np.linalg.norm(result.final_point),
+                                   rtol=1e-10)
+
+
+@pytest.mark.parametrize("config,threads,calls", [
+    # (cells, step budget) of each kernel call; the grid has 3 cells
+    (RunConfig(eta=0.1, max_iters=10), None, [(2, 10), (3, 0)]),
+    # the step-map route runs inline whatever the thread count
+    (RunConfig(eta=0.1, max_iters=10), 2, [(2, 10), (3, 0)]),
+    (RunConfig(eta=0.1, max_iters=10, eps_stationary=1e-12), None,
+     [(3, 10)]),
+    (RunConfig(eta=0.1, max_iters=10, escape_radius=1e3), None, [(3, 10)]),
+    # T overflows: the whole grid is stepped, as in a kernel-only sweep
+    (RunConfig(eta=1e200, max_iters=10), None, [(2, 10), (3, 10)]),
+])
+def test_config_picks_the_route(config, threads, calls, monkeypatch):
+    kernel = experiments._advance_cells
+    seen = []
+
+    def recording(b00, b01, b11, x0c, x1c, config, schedule):
+        seen.append((len(x0c), config.max_iters))
+        return kernel(b00, b01, b11, x0c, x1c, config, schedule)
+
+    monkeypatch.setattr(experiments, "_advance_cells", recording)
+    grid = PolarGrid(0.5, 0.5, 1.0, 0.0, 90.0, 30.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = sweep(SWAP, grid, config, ConstantSigma(0.0), threads=threads)
+    assert seen == calls
+    if config.eta == 1e200:
+        assert set(field.status_strings()) == {"failed"}
+
+
+@pytest.mark.parametrize("escape_radius", [math.inf, sys.float_info.max])
+def test_start_on_a_flat_direction_is_stationary(escape_radius):
+    flat = QuadraticObjective(np.array([[0.0, 0.0], [0.0, 1.0]]))
+    grid = PolarGrid(0.5, 0.5, 1.0, 0.0, 90.0, 45.0)  # theta 0 and 45
+    field = sweep(flat, grid, RunConfig(eta=0.1, max_iters=100,
+                                        escape_radius=escape_radius),
+                  RatioSigma())
+    assert list(field.status_strings()) == ["reached_stationary",
+                                            "max_iters"]
+    assert field.final_distance[0] == 0.5
+
+
+@pytest.mark.parametrize("escape_radius", [math.inf, sys.float_info.max])
+def test_zero_budget_leaves_every_start_in_place(escape_radius):
+    field = sweep(SWAP, small_grid(),
+                  RunConfig(max_iters=0, escape_radius=escape_radius),
+                  RatioSigma())
+    assert set(field.status_strings()) == {"max_iters"}
+    np.testing.assert_allclose(field.final_distance, field.r, rtol=1e-15)
+
+
+class _SigmaAt3:
+    """A schedule that returns a bad sigma at step 3."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def __call__(self, k):
+        return self.bad if k == 3 else 0.5
+
+
+@pytest.mark.parametrize("bad", [-0.5, -2.0, math.nan, math.inf])
+@pytest.mark.parametrize("escape_radius", [math.inf, 1e3])
+def test_bad_sigma_raises_on_both_routes(bad, escape_radius):
+    config = RunConfig(eta=0.1, max_iters=10, escape_radius=escape_radius)
+    with pytest.raises(ValueError, match="sigma"):
+        run(SWAP, np.array([0.1, 0.2]), config, _SigmaAt3(bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma"):
+            sweep(SWAP, small_grid(), config, _SigmaAt3(bad))
 
 
 def test_sweep_matches_scalar_runs():
@@ -249,6 +398,28 @@ def test_csv_round_trip_with_nan(tmp_path):
     assert set(loaded.status_strings()) == {"failed"}
 
 
+def test_csv_blocks_match_row_by_row_format(tmp_path):
+    grid = PolarGrid(0.1, 0.2, 0.1, -180.0, 180.0, 0.04)
+    field = sweep(SWAP, grid, RunConfig(eta=0.1, max_iters=5), RatioSigma())
+    assert len(field) > 2 * experiments._CSV_BLOCK_ROWS
+    status = (np.arange(len(field)) % 4).astype(np.int8)
+    distance = np.where(status == 3, math.nan, field.final_distance)
+    field = DistanceField(r=field.r, theta_deg=field.theta_deg, x0=field.x0,
+                          final_distance=distance, status=status,
+                          metadata=field.metadata)
+    lines = [f"# {key}: {field.metadata[key]}"
+             for key in sorted(field.metadata)]
+    lines.append("r,theta_deg,x0_0,x0_1,final_distance,status")
+    for i in range(len(field)):
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
+            field.r[i], field.theta_deg[i], field.x0[i, 0], field.x0[i, 1],
+            field.final_distance[i],
+            experiments.STATUS_STRINGS[field.status[i]]))
+    path = tmp_path / "field.csv"
+    emit_csv(field, str(path))
+    assert path.read_text() == "\n".join(lines) + "\n"
+
+
 def test_summary_json(tmp_path):
     grid = small_grid()
     field = sweep(SWAP, grid, RunConfig(eta=0.1, max_iters=30, escape_radius=40.0),
@@ -270,6 +441,22 @@ def test_atomic_write_no_partial_file(tmp_path):
     atomic_write(str(target), "payload")
     assert target.read_text() == "payload"
     assert list(tmp_path.iterdir()) == [target]
+
+
+def test_atomic_write_failed_stream_leaves_no_file(tmp_path):
+    def blocks():
+        yield "first block\n"
+        raise RuntimeError("formatting failed")
+
+    target = tmp_path / "out.csv"
+    with pytest.raises(RuntimeError):
+        atomic_write(str(target), blocks())
+    assert list(tmp_path.iterdir()) == []
+    target.write_text("old")
+    with pytest.raises(RuntimeError):
+        atomic_write(str(target), blocks())
+    assert list(tmp_path.iterdir()) == [target]
+    assert target.read_text() == "old"
 
 
 def test_bound_formula_cross_check():
