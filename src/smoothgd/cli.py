@@ -300,14 +300,11 @@ def _cmd_sweep(args):
         r_min=args.r_min, r_max=args.r_min, r_step=args.r_step,
         theta_min_deg=-args.halfwidth, theta_max_deg=args.halfwidth,
         theta_step_deg=args.fine_theta_step)
-    if args.threads is not None and args.threads < 1:
-        raise UsageError(f"--threads must be >= 1, got {args.threads}")
     config = _from_flags(RunConfig, eta=args.eta, max_iters=args.iters)
     coarse, fine, summary = two_scale_search(
         objective, grid, config, schedule,
         refine_halfwidth_deg=args.halfwidth,
-        fine_step_deg=args.fine_theta_step,
-        threads=args.threads)
+        fine_step_deg=args.fine_theta_step)
     if args.coarse_out is not None:
         emit_csv(coarse, args.coarse_out)
     if args.out is not None:
@@ -401,9 +398,6 @@ def _build_parser():
                         "degrees")
     p.add_argument("--eta", type=float, default=0.1, help="step size")
     p.add_argument("--iters", type=int, default=100, help="step budget")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads, at most the available CPUs "
-                        "(default: run inline)")
     p.add_argument("--out", default=None, help="fine-field CSV path")
     p.add_argument("--coarse-out", default=None,
                    help="coarse-field CSV path")

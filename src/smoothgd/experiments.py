@@ -365,8 +365,7 @@ def _describe_schedule(schedule):
 
 
 def two_scale_search(objective, coarse_grid, config, schedule,
-                     refine_halfwidth_deg=1.0, fine_step_deg=1e-5,
-                     threads=None):
+                     refine_halfwidth_deg=1.0, fine_step_deg=1e-5):
     """Coarse sweep, then a fine re-sweep around the coarse minimizer.
 
     The fine grid keeps the radius of the coarse argmin and re-samples
@@ -378,7 +377,7 @@ def two_scale_search(objective, coarse_grid, config, schedule,
     antipodal pairs, and the returned argmin may lie in either one,
     whichever the coarse round-off favours.
     """
-    coarse = sweep(objective, coarse_grid, config, schedule, threads)
+    coarse = sweep(objective, coarse_grid, config, schedule)
     pivot = coarse.summary()
     fine_grid = PolarGrid(
         r_min=pivot.argmin_r, r_max=pivot.argmin_r, r_step=coarse_grid.r_step,
@@ -386,7 +385,7 @@ def two_scale_search(objective, coarse_grid, config, schedule,
         theta_max_deg=pivot.argmin_theta_deg + refine_halfwidth_deg,
         theta_step_deg=fine_step_deg,
     )
-    fine = sweep(objective, fine_grid, config, schedule, threads)
+    fine = sweep(objective, fine_grid, config, schedule)
     return coarse, fine, fine.summary()
 
 
@@ -442,14 +441,18 @@ def atomic_write(path, text):
 
     ``text`` is a string or an iterable of strings written in order, so
     large outputs can be streamed.  The file appears complete or not at
-    all: if writing fails, the temp file is removed.
+    all: if writing fails, the temp file is removed.  It gets the mode a
+    plain ``open`` would give, 0o666 less the umask.
     """
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)   # the umask can only be read by setting it
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:

@@ -114,21 +114,20 @@ def _map_back(op, b, values, vectors):
 
     ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
     Each goes back through A^(-1/2), is renormalized and sign-fixed, and
-    must satisfy ||A^(-1) B v - lambda v|| <= 1e-8, checked with the
-    tridiagonal solve; otherwise :class:`ConvergenceError` is raised.
+    must satisfy ||A^(-1) B v - lambda v|| <= 1e-8, checked for all pairs
+    with one tridiagonal solve; otherwise :class:`ConvergenceError` is
+    raised with the worst residual.
     """
     mapped = op.inv_sqrt_apply(vectors)
     mapped /= np.linalg.norm(mapped, axis=0)
-    pairs = []
-    for value, vec in zip(values, mapped.T.copy()):
-        vec = sign_normalize(vec)
-        residual = np.linalg.norm(op.solve(b @ vec) - value * vec)
-        if residual > 1e-8:
-            raise ConvergenceError(
-                "back-transformed eigenpair failed its residual check",
-                residual)
-        pairs.append(EigenPair(float(value), vec))
-    return pairs
+    rows = [sign_normalize(vec) for vec in mapped.T.copy()]
+    cols = np.column_stack(rows)
+    residual = np.max(np.linalg.norm(
+        op.solve(b @ cols) - cols * np.asarray(values), axis=0))
+    if residual > 1e-8:
+        raise ConvergenceError(
+            "back-transformed eigenpair failed its residual check", residual)
+    return [EigenPair(float(value), vec) for value, vec in zip(values, rows)]
 
 
 def eig_preconditioned_hessian(b, sigma):

@@ -70,14 +70,8 @@ class QuadraticObjective:
     scale: float = 1.0
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError(f"matrix must be square, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
-        norm = np.linalg.norm(m)
-        if np.linalg.norm(m - m.T) > 1e-12 * max(norm, 1e-300):
-            raise ValueError("matrix is not symmetric within 1e-12 relative")
+        m = linalg._as_square(self.matrix)
+        linalg._require_symmetric(m)
         scale = float(self.scale)
         if not np.isfinite(scale) or scale <= 0.0:
             raise ValueError(f"scale must be finite and > 0, got {scale}")
@@ -214,19 +208,11 @@ class SubspaceBasis:
     def dim(self):
         return self.rows.shape[0]
 
-    @property
-    def ambient(self):
-        return self.rows.shape[1]
-
     def project(self, x):
         """Orthogonal projection of x onto the subspace."""
         if self.dim == 0:
             return np.zeros_like(np.asarray(x, dtype=float))
         return self.rows.T @ (self.rows @ np.asarray(x, dtype=float))
-
-    def contains(self, x, tol=1e-9):
-        x = np.asarray(x, dtype=float)
-        return bool(np.linalg.norm(x - self.project(x)) <= tol * max(1.0, np.linalg.norm(x)))
 
 
 @dataclass(frozen=True)
@@ -341,44 +327,35 @@ def canonical_attraction_basis(n):
 
 
 def ring_second_difference(v):
-    """The periodic second difference used by the smoothing operator.
+    """The periodic second difference L v used by the smoothing operator.
 
-    For n >= 3 this is v_{i-1} - 2 v_i + v_{i+1} on the ring; for n = 2 the
-    single-coupling convention gives (v_1 - v_0, v_0 - v_1).
+    Taken from the operator itself, L = I - A(1): v_{i-1} - 2 v_i + v_{i+1}
+    on the ring, which for n = 2 is (v_1 - v_0, v_0 - v_1).
     """
     v = np.asarray(v, dtype=float)
-    if len(v) == 2:
-        return np.array([v[1] - v[0], v[0] - v[1]])
-    return np.roll(v, 1) + np.roll(v, -1) - 2.0 * v
+    return v - CirculantSmoother(len(v), 1.0).apply(v)
 
 
 def laplacian_eigenspaces(n):
     """Analytic orthonormal eigenspaces of the ring second difference.
 
-    Returns a list of (eigenvalue, basis) with basis rows orthonormal.  For
-    n >= 3 the eigenvalues are 2 cos(2 pi m / n) - 2 for the frequencies
-    m = 0 .. floor(n/2), with two-dimensional spaces at the interior
-    frequencies; n = 2 uses the single-coupling form with eigenvalues
-    {0, -2}.
+    Returns a list of (eigenvalue, basis) with basis rows orthonormal.  The
+    eigenvalues are 1 - spectrum of A(1), i.e. 2 cos(2 pi m / n) - 2 for
+    the frequencies m = 0 .. floor(n/2), with two-dimensional spaces at
+    the interior frequencies; for n = 2 they are {0, -2}.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    n = int(n)
-    if n == 2:
-        inv = 1.0 / np.sqrt(2.0)
-        return [
-            (0.0, np.array([[inv, inv]])),
-            (-2.0, np.array([[inv, -inv]])),
-        ]
-    spaces = [(0.0, np.full((1, n), 1.0 / np.sqrt(n)))]
+    op = CirculantSmoother(n, 1.0)
+    n = op.n
+    values = 1.0 - op.spectrum()
+    spaces = [(float(values[0]), np.full((1, n), 1.0 / np.sqrt(n)))]
     idx = np.arange(n)
     for m in range(1, (n - 1) // 2 + 1):
         angle = 2.0 * np.pi * m * idx / n
         basis = np.array([np.cos(angle), np.sin(angle)]) / np.sqrt(n / 2.0)
-        spaces.append((2.0 * np.cos(2.0 * np.pi * m / n) - 2.0, basis))
+        spaces.append((float(values[m]), basis))
     if n % 2 == 0:
         alt = np.where(idx % 2 == 0, 1.0, -1.0) / np.sqrt(n)
-        spaces.append((-4.0, alt.reshape(1, -1)))
+        spaces.append((float(values[n // 2]), alt.reshape(1, -1)))
     return spaces
 
 

@@ -14,15 +14,12 @@ all lying in [1, 1 + 4*sigma].  Because A is circulant it is diagonalized by
 the discrete Fourier transform, which gives one solve route; the shifted
 tridiagonal structure gives another (Thomas elimination plus a rank-one
 corner correction).  Both routes are exposed so they can be checked against
-each other.
+each other, and every solver takes a vector (n,) or an (n, k) array of
+columns.
 
-For n = 2 the ring has a double edge and the convention adopted here is the
-single-coupling form
-
-    [[1 + sigma, -sigma],
-     [-sigma,    1 + sigma]]
-
-with eigenvalues {1, 1 + 2*sigma}, solved in closed form.
+For n = 2 both ring neighbours are the same entry, so the operator is the
+ring at half strength, the single coupling [[1 + sigma, -sigma], [-sigma,
+1 + sigma]] with eigenvalues {1, 1 + 2*sigma}.
 """
 
 import numpy as np
@@ -59,6 +56,8 @@ class CirculantSmoother:
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         self._n = int(n)
         self._sigma = sigma
+        # coupling to each ring neighbour; at n = 2 both are the same entry
+        self._c = sigma / 2.0 if n == 2 else sigma
         self._spectrum = None
         self._thomas = None
 
@@ -70,107 +69,103 @@ class CirculantSmoother:
     def sigma(self):
         return self._sigma
 
-    def _check_vector(self, x):
+    def _check(self, x):
         x = np.asarray(x, dtype=float)
-        if x.shape != (self._n,):
+        if x.ndim not in (1, 2) or x.shape[0] != self._n:
             raise ValueError(
-                f"expected a vector of shape ({self._n},), got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("vector has non-finite entries")
+                f"expected shape ({self._n},) or ({self._n}, k), "
+                f"got {x.shape}")
+        if not np.isfinite(x).all():
+            raise ValueError("input has non-finite entries")
         return x
+
+    def _fourier(self, x, weights, what):
+        # ifft(weights * fft(x)) along axis 0.  The imaginary part is pure
+        # round-off; it is checked per column against 1e-10 * ||x|| before
+        # being dropped.
+        if x.ndim == 2:
+            weights = weights[:, None]
+        out = np.fft.ifft(np.fft.fft(x, axis=0) * weights, axis=0)
+        drift = np.max(np.abs(out.imag), axis=0)
+        if np.any(drift > 1e-10 * np.linalg.norm(x, axis=0)):
+            raise ArithmeticError(
+                f"{what} produced imaginary drift {np.max(drift):.3e}")
+        return out.real
 
     def spectrum(self):
         """Eigenvalues in DFT mode order, all in [1, 1 + 4*sigma]."""
         if self._spectrum is None:
-            n, sigma = self._n, self._sigma
-            if n == 2:
-                vals = np.array([1.0, 1.0 + 2.0 * sigma])
-            else:
-                k = np.arange(n)
-                vals = 1.0 + sigma * (2.0 - 2.0 * np.cos(2.0 * np.pi * k / n))
-            self._spectrum = vals
+            k = np.arange(self._n)
+            self._spectrum = 1.0 + self._c * (
+                2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._n))
         return self._spectrum.copy()
 
     def apply(self, x):
-        """Matrix-vector product A @ x."""
-        x = self._check_vector(x)
-        sigma = self._sigma
-        if self._n == 2:
-            return np.array([
-                (1.0 + sigma) * x[0] - sigma * x[1],
-                (1.0 + sigma) * x[1] - sigma * x[0],
-            ])
-        return (1.0 + 2.0 * sigma) * x - sigma * (np.roll(x, 1) + np.roll(x, -1))
+        """Matrix product A @ x for x of shape (n,) or (n, k)."""
+        x = self._check(x)
+        c = self._c
+        return (1.0 + 2.0 * c) * x - c * (np.roll(x, 1, axis=0)
+                                          + np.roll(x, -1, axis=0))
 
     def dense(self):
         """The operator as a dense (n, n) array."""
-        n, sigma = self._n, self._sigma
-        if n == 2:
-            return np.array([[1.0 + sigma, -sigma], [-sigma, 1.0 + sigma]])
-        a = np.zeros((n, n))
-        np.fill_diagonal(a, 1.0 + 2.0 * sigma)
+        n, c = self._n, self._c
+        a = np.diag(np.full(n, 1.0 + 2.0 * c))
         idx = np.arange(n)
-        a[idx, (idx + 1) % n] = -sigma
-        a[idx, (idx - 1) % n] = -sigma
+        # accumulate, so that at n = 2 both neighbours land on one entry
+        a[idx, (idx + 1) % n] -= c
+        a[idx, (idx - 1) % n] -= c
         return a
 
     def solve_dft(self, y):
         """Solve A x = y by Fourier diagonalization.
 
-        The right-hand side is transformed, divided mode by mode by the real
-        eigenvalues, and transformed back.  The imaginary part of the result
-        is pure round-off; it is checked against 1e-10 * ||y|| before being
-        dropped.  For n = 2 the closed-form pair solve is used instead (a
-        2-point DFT offers nothing over it).
+        The right-hand side is transformed, scaled mode by mode by the
+        reciprocal eigenvalues, and transformed back.  The imaginary part of
+        the result is pure round-off; it is checked against 1e-10 * ||y||
+        per column before being dropped.
         """
-        y = self._check_vector(y)
-        if self._n == 2:
-            x0, x1 = solve_smoothed_pair(self._sigma, y[0], y[1])
-            return np.array([x0, x1])
-        xhat = np.fft.fft(y) / self.spectrum()
-        x = np.fft.ifft(xhat)
-        drift = np.max(np.abs(x.imag))
-        if drift > 1e-10 * np.linalg.norm(y):
-            raise ArithmeticError(
-                f"DFT solve produced imaginary drift {drift:.3e}")
-        return x.real
+        return self._fourier(self._check(y), 1.0 / self.spectrum(),
+                             "DFT solve")
 
     def _thomas_factors(self):
         # A = T + u v^T where T is the tridiagonal part with modified
-        # corners: T[0,0] = d - gamma, T[n-1,n-1] = d - sigma**2 / gamma,
-        # u = (gamma, 0, ..., 0, -sigma), v = (1, 0, ..., 0, -sigma/gamma),
-        # d = 1 + 2*sigma, gamma = -d.  That choice keeps T diagonally
+        # corners: T[0,0] = d - gamma, T[n-1,n-1] = d - c**2 / gamma,
+        # u = (gamma, 0, ..., 0, -c), v = (1, 0, ..., 0, -c/gamma),
+        # d = 1 + 2*c, gamma = -d.  That choice keeps T diagonally
         # dominant, so elimination needs no pivoting.
         if self._thomas is None:
-            n, sigma = self._n, self._sigma
-            d = 1.0 + 2.0 * sigma
+            n, c = self._n, self._c
+            d = 1.0 + 2.0 * c
             gamma = -d
             diag = np.full(n, d)
             diag[0] = d - gamma
-            diag[-1] = d - sigma * sigma / gamma
-            # Forward elimination factors for constant off-diagonal -sigma.
+            diag[-1] = d - c * c / gamma
+            # Forward elimination factors for constant off-diagonal -c.
             denom = np.empty(n)
             denom[0] = diag[0]
             for i in range(1, n):
-                denom[i] = diag[i] - sigma * sigma / denom[i - 1]
+                denom[i] = diag[i] - c * c / denom[i - 1]
             u = np.zeros(n)
             u[0] = gamma
-            u[-1] = -sigma
+            u[-1] = -c
             q = self._tri_solve(denom, u)
-            v_dot_q = q[0] - (sigma / gamma) * q[-1]
+            v_dot_q = q[0] - (c / gamma) * q[-1]
             self._thomas = (denom, q, v_dot_q, gamma)
         return self._thomas
 
     def _tri_solve(self, denom, rhs):
-        # Solve T x = rhs given the precomputed elimination denominators.
-        n, sigma = self._n, self._sigma
-        x = np.empty(n)
+        # Solve T x = rhs given the precomputed elimination denominators,
+        # row by row, so each column of an (n, k) rhs gets exactly the
+        # arithmetic of a single vector.
+        n, c = self._n, self._c
+        x = np.empty(rhs.shape)
         x[0] = rhs[0]
         for i in range(1, n):
-            x[i] = rhs[i] + sigma * x[i - 1] / denom[i - 1]
+            x[i] = rhs[i] + c * x[i - 1] / denom[i - 1]
         x[-1] = x[-1] / denom[-1]
         for i in range(n - 2, -1, -1):
-            x[i] = (x[i] + sigma * x[i + 1]) / denom[i]
+            x[i] = (x[i] + c * x[i + 1]) / denom[i]
         return x
 
     def solve_thomas(self, y):
@@ -179,19 +174,15 @@ class CirculantSmoother:
         The periodic corner entries are handled with a rank-one update: the
         system splits as A = T + u v^T with T strictly tridiagonal and
         diagonally dominant, so a single extra T-solve folds the corners
-        back in (Sherman-Morrison).  n = 2 falls through to the closed-form
-        pair solve.
+        back in (Sherman-Morrison).
         """
-        y = self._check_vector(y)
-        if self._n == 2:
-            x0, x1 = solve_smoothed_pair(self._sigma, y[0], y[1])
-            return np.array([x0, x1])
+        y = self._check(y)
         if self._sigma == 0.0:
             return y.copy()
         denom, q, v_dot_q, gamma = self._thomas_factors()
         w = self._tri_solve(denom, y)
-        v_dot_w = w[0] - (self._sigma / gamma) * w[-1]
-        return w - q * (v_dot_w / (1.0 + v_dot_q))
+        v_dot_w = w[0] - (self._c / gamma) * w[-1]
+        return w - np.multiply.outer(q, v_dot_w / (1.0 + v_dot_q))
 
     def solve(self, y):
         """Default solve route (tridiagonal elimination)."""
@@ -200,26 +191,8 @@ class CirculantSmoother:
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.
 
-        ``x`` is a vector of shape (n,) or an (n, k) array whose columns
-        are transformed together, with one FFT pair along axis 0.  Each
-        Fourier mode is divided by sqrt(eigenvalue); applying it twice
-        reproduces a full solve.  For n = 2 the two DFT modes are the
-        even/odd combinations x0 +/- x1, so the same code covers it.
+        Each Fourier mode is divided by sqrt(eigenvalue); applying it twice
+        reproduces a full solve.
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[0] != self._n:
-            raise ValueError(
-                f"expected shape ({self._n},) or ({self._n}, k), "
-                f"got {x.shape}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("input has non-finite entries")
-        scale = 1.0 / np.sqrt(self.spectrum())
-        if x.ndim == 2:
-            scale = scale[:, None]
-        out = np.fft.ifft(np.fft.fft(x, axis=0) * scale, axis=0)
-        drift = np.max(np.abs(out.imag), axis=0)
-        if np.any(drift > 1e-10 * np.linalg.norm(x, axis=0)):
-            raise ArithmeticError(
-                f"inverse-sqrt apply produced imaginary drift "
-                f"{np.max(drift):.3e}")
-        return out.real
+        return self._fourier(self._check(x), 1.0 / np.sqrt(self.spectrum()),
+                             "inverse-sqrt apply")

@@ -192,7 +192,7 @@ def test_sweep_custom(tmp_path, capsys):
     assert run_cli(["sweep", "--example", "custom", "--objective", str(mat),
                     "--r-min", "0.1", "--r-max", "0.2", "--r-step", "0.1",
                     "--coarse-theta-step", "10", "--fine-theta-step", "1",
-                    "--halfwidth", "5", "--iters", "60", "--threads", "1",
+                    "--halfwidth", "5", "--iters", "60",
                     "--out", str(out), "--coarse-out", str(coarse_out),
                     "--summary", str(summary)]) == 0
     stdout = capsys.readouterr().out
@@ -258,8 +258,6 @@ def test_exit_codes(tmp_path, capsys):
     ["sweep", "--fine-theta-step", "-1e-5"],
     ["sweep", "--r-min", "0"],
     ["sweep", "--iters", "-1"],
-    ["sweep", "--threads", "0"],
-    ["sweep", "--threads", "-3"],
 ])
 def test_rejected_flag_values_are_usage_errors(args, tmp_path, capsys):
     vector = tmp_path / "v.txt"

@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 from dataclasses import replace
@@ -441,6 +443,17 @@ def test_atomic_write_no_partial_file(tmp_path):
     atomic_write(str(target), "payload")
     assert target.read_text() == "payload"
     assert list(tmp_path.iterdir()) == [target]
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    target = tmp_path / "out.txt"
+    old = os.umask(umask)
+    try:
+        atomic_write(str(target), "payload")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(target).st_mode) == mode
 
 
 def test_atomic_write_failed_stream_leaves_no_file(tmp_path):

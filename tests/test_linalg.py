@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from smoothgd import linalg
 from smoothgd.linalg import (
+    ConvergenceError,
     SingularMatrixError,
     dense_solve,
     eig_preconditioned_hessian,
     sign_normalize,
     sym_eigendecompose,
 )
+from smoothgd.smoothing import CirculantSmoother
 
 
 def test_2x2_analytic():
@@ -92,14 +95,26 @@ def test_preconditioned_matches_dense_route(rng):
     b = 0.5 * (b + b.T)
     sigma = 0.8
     pairs = eig_preconditioned_hessian(b, sigma)
-    from smoothgd.smoothing import CirculantSmoother
-
     a = CirculantSmoother(5, sigma).dense()
     reference = np.sort(np.linalg.eigvals(np.linalg.solve(a, b)).real)[::-1]
     np.testing.assert_allclose([p.value for p in pairs], reference, atol=1e-9)
     # pairs satisfy the generalized equation B v = lambda A v
     for p in pairs:
         assert np.linalg.norm(b @ p.vector - p.value * (a @ p.vector)) <= 1e-9 * np.linalg.norm(b)
+
+
+def test_map_back_rejects_a_perturbed_eigenvector(rng):
+    b = rng.standard_normal((6, 6))
+    b = 0.5 * (b + b.T)
+    op = CirculantSmoother(6, 1.5)
+    pairs = sym_eigendecompose(linalg._similar_symmetric(op, b))
+    values = [p.value for p in pairs]
+    vectors = np.column_stack([p.vector for p in pairs])
+    assert len(linalg._map_back(op, b, values, vectors)) == 6
+    vectors[:, 3] += 1e-4 * vectors[:, 0]
+    with pytest.raises(ConvergenceError) as info:
+        linalg._map_back(op, b, values, vectors)
+    assert info.value.residual > 1e-8
 
 
 def test_dense_solve_matches_numpy(rng):

@@ -107,16 +107,53 @@ def test_inv_sqrt_batched_matches_columns(rng, n):
     np.testing.assert_allclose(batched, dense @ x, rtol=0, atol=1e-12 * scale)
 
 
+@pytest.mark.parametrize("n", [2, 3, 64])
+def test_batched_solves_match_columns(rng, n):
+    op = CirculantSmoother(n, 0.8)
+    y = rng.standard_normal((n, 5))
+    # Thomas runs row by row, so each column gets a vector's exact arithmetic
+    thomas = np.column_stack([op.solve_thomas(c) for c in y.T])
+    np.testing.assert_array_equal(op.solve_thomas(y), thomas)
+    np.testing.assert_array_equal(op.solve(y), thomas)
+    for method in (op.solve_dft, op.apply):
+        by_column = np.column_stack([method(c) for c in y.T])
+        np.testing.assert_allclose(method(y), by_column, rtol=0,
+                                   atol=1e-15 * np.max(np.abs(by_column)))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.3, 2.0, 100.0])
+def test_n2_is_the_ring_at_half_strength(rng, sigma):
+    op = CirculantSmoother(2, sigma)
+    # spectrum, apply and dense equal the single-coupling closed forms
+    # bit for bit
+    np.testing.assert_array_equal(op.spectrum(), [1.0, 1.0 + 2.0 * sigma])
+    np.testing.assert_array_equal(
+        op.dense(), [[1.0 + sigma, -sigma], [-sigma, 1.0 + sigma]])
+    x = rng.standard_normal(2)
+    np.testing.assert_array_equal(
+        op.apply(x), [(1.0 + sigma) * x[0] - sigma * x[1],
+                      (1.0 + sigma) * x[1] - sigma * x[0]])
+    # both solve routes match the closed-form pair solve to round-off:
+    # 1e-15 relative, scaled by the condition number 1 + 2 sigma
+    y = rng.standard_normal((2, 8))
+    expect = np.array(solve_smoothed_pair(sigma, y[0], y[1]))
+    for route in (op.solve_thomas, op.solve_dft):
+        assert (np.max(np.abs(route(y) - expect))
+                <= 1e-15 * (1.0 + 2.0 * sigma) * np.max(np.abs(expect)))
+
+
 def test_inv_sqrt_shape_validation():
+    # every method shares inv_sqrt_apply's contract: (n,) or (n, k), finite
     op = CirculantSmoother(4, 1.0)
-    with pytest.raises(ValueError):
-        op.inv_sqrt_apply(np.zeros(5))
-    with pytest.raises(ValueError):
-        op.inv_sqrt_apply(np.zeros((5, 2)))
-    with pytest.raises(ValueError):
-        op.inv_sqrt_apply(np.zeros((4, 2, 1)))
-    with pytest.raises(ValueError):
-        op.inv_sqrt_apply(np.array([[1.0], [np.nan], [0.0], [0.0]]))
+    for call in (op.apply, op.solve_dft, op.solve_thomas, op.solve,
+                 op.inv_sqrt_apply):
+        assert call(np.zeros(4)).shape == (4,)
+        assert call(np.zeros((4, 2))).shape == (4, 2)
+        for bad in (np.zeros(5), np.zeros((5, 2)), np.zeros((4, 2, 1)),
+                    np.zeros(()), np.array([[1.0], [np.nan], [0.0], [0.0]]),
+                    np.array([1.0, np.inf, 0.0, 0.0])):
+            with pytest.raises(ValueError):
+                call(bad)
 
 
 def test_pair_solver_matches_dense(rng):
