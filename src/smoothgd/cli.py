@@ -74,10 +74,14 @@ def _read_vector(path):
             if not text:
                 continue
             try:
-                values.append(float(text))
+                value = float(text)
             except ValueError:
                 raise UsageError(
                     f"{path}:{lineno}: not a number: {text!r}") from None
+            if not math.isfinite(value):
+                raise UsageError(
+                    f"{path}:{lineno}: non-finite value: {text!r}")
+            values.append(value)
     if not values:
         raise UsageError(f"{path}: empty vector file")
     return np.array(values)
@@ -105,9 +109,12 @@ def _read_matrix(path):
             raise UsageError(
                 f"{path}:{i}: expected {n} entries, got {len(parts)}")
         try:
-            rows.append([float(p) for p in parts])
+            row = [float(p) for p in parts]
         except ValueError:
             raise UsageError(f"{path}:{i}: non-numeric entry") from None
+        if not all(math.isfinite(v) for v in row):
+            raise UsageError(f"{path}:{i}: non-finite entry")
+        rows.append(row)
     return np.array(rows)
 
 
@@ -140,8 +147,8 @@ def _objective_from(spec, n, scale):
     if spec == "canonical":
         if n is None:
             raise UsageError("--objective canonical requires --n")
-        return canonical_objective(n, scale=scale)
-    return QuadraticObjective(_read_matrix(spec), scale=scale)
+        return _from_flags(canonical_objective, n, scale=scale)
+    return _from_flags(QuadraticObjective, _read_matrix(spec), scale=scale)
 
 
 def _cmd_smooth(args):
@@ -282,8 +289,8 @@ def _cmd_sweep(args):
     else:
         if args.objective is None:
             raise UsageError("--example custom requires --objective")
-        objective = QuadraticObjective(_read_matrix(args.objective),
-                                       scale=args.c)
+        objective = _from_flags(QuadraticObjective,
+                                _read_matrix(args.objective), scale=args.c)
         if objective.dim != 2:
             raise UsageError("sweeps need a 2-dimensional objective")
     schedule = (ConstantSigma(0.0) if args.optimizer == "gd"

@@ -172,7 +172,7 @@ def _checked_gradient(objective, x, k, trajectory):
     if g.shape != x.shape:
         raise ValueError(
             f"gradient shape {g.shape} does not match point shape {x.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NumericError("gradient has non-finite entries", x.copy(), k,
                            trajectory)
     return g
@@ -195,7 +195,7 @@ def run(objective, x0, config, schedule):
     if x.ndim != 1 or x.shape[0] != objective.dim:
         raise ValueError(
             f"x0 must be a vector of length {objective.dim}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
     trajectory = [x.copy()] if config.record_trajectory else None
     smoother = None
@@ -203,14 +203,18 @@ def run(objective, x0, config, schedule):
     k = 0
     while True:
         grad = _checked_gradient(objective, x, k, trajectory)
-        gnorm = float(np.linalg.norm(grad))
+        # exactly what np.linalg.norm computes for a 1-d float array (dot
+        # in memory order, then sqrt), without its dispatch overhead
+        flat = grad.ravel(order="K")
+        gnorm = math.sqrt(flat.dot(flat))
         if gnorm <= config.eps_stationary:
             status = RunStatus.REACHED_STATIONARY
             break
         if k >= config.max_iters:
             status = RunStatus.MAX_ITERS
             break
-        if np.linalg.norm(x) > config.escape_radius:
+        if (config.escape_radius < math.inf
+                and np.linalg.norm(x) > config.escape_radius):
             status = RunStatus.ESCAPED
             break
         sigma = float(schedule(k))
@@ -219,7 +223,7 @@ def run(objective, x0, config, schedule):
             sigma_prev = sigma
         x = x - config.eta * smoother.solve(grad)
         k += 1
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             raise NumericError("iterate has non-finite entries", x, k,
                                trajectory)
         if trajectory is not None:

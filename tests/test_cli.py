@@ -258,16 +258,54 @@ def test_exit_codes(tmp_path, capsys):
     ["sweep", "--fine-theta-step", "-1e-5"],
     ["sweep", "--r-min", "0"],
     ["sweep", "--iters", "-1"],
+    ["optimize", "--n", "1"],
+    ["optimize", "--n", "0"],
+    ["analyze", "--n", "1"],
+    ["analyze", "--n", "0"],
+    ["optimize", "--n", "2", "--c", "-1"],
+    ["optimize", "--n", "2", "--c", "nan"],
+    ["analyze", "--n", "2", "--c", "-1"],
+    ["analyze", "--n", "2", "--c", "nan"],
+    ["sweep", "--example", "custom", "--objective", "MATRIX", "--c", "-1"],
+    ["optimize", "--n", "2", "--x0", "NAN_VECTOR"],
+    ["optimize", "--n", "2", "--x0", "INF_VECTOR"],
+    ["smooth", "--sigma", "1", "--input", "NAN_VECTOR"],
+    ["smooth", "--sigma", "1", "--input", "INF_VECTOR"],
+    ["optimize", "--objective", "NAN_MATRIX"],
+    ["analyze", "--objective", "INF_MATRIX"],
+    ["sweep", "--example", "custom", "--objective", "NAN_MATRIX"],
 ])
 def test_rejected_flag_values_are_usage_errors(args, tmp_path, capsys):
     vector = tmp_path / "v.txt"
     write_vector(vector, [0.1, 0.2])
-    if args[0] == "optimize":
+    # input files named by placeholder; each bad entry sits on line 2
+    files = {
+        "MATRIX": [[2.0, 1.0], [1.0, -1.0]],
+        "NAN_VECTOR": [0.1, math.nan],
+        "INF_VECTOR": [0.1, -math.inf],
+        "NAN_MATRIX": [[1.0, math.nan], [math.nan, -1.0]],
+        "INF_MATRIX": [[math.inf, 0.0], [0.0, -1.0]],
+    }
+    named = []
+    for i, arg in enumerate(args):
+        if arg in files:
+            path = tmp_path / f"{arg.lower()}.txt"
+            if arg.endswith("MATRIX"):
+                write_matrix(path, files[arg])
+            else:
+                write_vector(path, files[arg])
+            args = args[:i] + [str(path)] + args[i + 1:]
+            if arg != "MATRIX":
+                named.append(path.name)
+    if args[0] == "optimize" and "--x0" not in args:
         args = args + ["--x0", str(vector)]
-    elif args[0] == "smooth":
+    elif args[0] == "smooth" and "--input" not in args:
         args = args + ["--input", str(vector)]
     assert run_cli(args) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    for name in named:
+        assert f"{name}:2:" in err and "non-finite" in err
 
 
 @pytest.mark.parametrize("args", [

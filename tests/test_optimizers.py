@@ -164,3 +164,24 @@ def test_iteration_bound_values():
 def test_nonsymmetric_matrix_rejected():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("n", [9, 257])
+@pytest.mark.parametrize("schedule", [ConstantSigma(0.0), RatioSigma(),
+                                      PlateauSigma(8)])
+def test_final_grad_norm_is_exactly_the_norm_of_the_gradient(rng, n,
+                                                             schedule):
+    objective = canonical_objective(n)
+    # also the same gradient handed back as a strided view, whose BLAS dot
+    # sums in another order than np.linalg.norm's contiguous copy does
+    strided = GradientFunction(
+        n, lambda x: np.repeat(objective.gradient(x), 2)[::2])
+    for target in (objective, strided):
+        for config in (RunConfig(eta=0.1, max_iters=37),
+                       RunConfig(eta=0.1, max_iters=10 ** 4,
+                                 eps_stationary=1e-3, escape_radius=1e3)):
+            result = run(target, rng.standard_normal(n), config, schedule)
+            expect = float(np.linalg.norm(
+                target.gradient(result.final_point)))
+            assert result.final_grad_norm == expect
+
