@@ -115,8 +115,8 @@ def _map_back(op, b, values, vectors):
     ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
     Each goes back through A^(-1/2), is renormalized and sign-fixed, and
     must satisfy ||A^(-1) B v - lambda v|| <= 1e-8, checked for all pairs
-    with one tridiagonal solve; otherwise :class:`ConvergenceError` is
-    raised with the worst residual.
+    with one batched ``solve`` (Thomas or the FFT, by size); otherwise
+    :class:`ConvergenceError` is raised with the worst residual.
     """
     mapped = op.inv_sqrt_apply(vectors)
     mapped /= np.linalg.norm(mapped, axis=0)

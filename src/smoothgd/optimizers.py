@@ -213,8 +213,10 @@ def run(objective, x0, config, schedule):
         if k >= config.max_iters:
             status = RunStatus.MAX_ITERS
             break
+        # x is always a fresh contiguous vector here, so its norm is the
+        # plain dot
         if (config.escape_radius < math.inf
-                and np.linalg.norm(x) > config.escape_radius):
+                and math.sqrt(x.dot(x)) > config.escape_radius):
             status = RunStatus.ESCAPED
             break
         sigma = float(schedule(k))

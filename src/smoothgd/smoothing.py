@@ -11,27 +11,50 @@ every sigma >= 0, with eigenvalues
     1 + sigma * (2 - 2*cos(2*pi*k/n)),  k = 0, ..., n-1,
 
 all lying in [1, 1 + 4*sigma].  Because A is circulant it is diagonalized by
-the discrete Fourier transform, which gives one solve route; the shifted
-tridiagonal structure gives another (Thomas elimination plus a rank-one
-corner correction).  Both routes are exposed so they can be checked against
-each other, and every solver takes a vector (n,) or an (n, k) array of
-columns.
+the discrete Fourier transform, which gives one solve route (a real FFT,
+scaled by the reciprocal spectrum 1 + sigma * symbol, with the ring symbol
+2 - 2*cos(2*pi*k/n) cached once per n); the shifted tridiagonal structure
+gives another (Thomas elimination plus a rank-one corner correction).  Both
+routes are exposed so they can be checked against each other, and every
+solver takes a vector (n,) or an (n, k) array of columns.
 
-Thomas is the default ``solve``.  Its row loop runs on Python floats (a
-vector's entries, or an (n, k) array's rows), which gives bit for bit the
-results of the same loop over numpy scalars at a fraction of the cost.  It
-stays the default for descent because round-off decides whether a start in
-the attracted antisymmetric subspace converges or escapes, and more such
-starts escape with the Fourier solve.
+The default ``solve`` picks the route by size.  Below n = 64 it is Thomas,
+whose row loop runs on Python floats (a vector's entries, or an (n, k)
+array's rows) and gives bit for bit the results of the same loop over numpy
+scalars.  There it is the faster route, and it keeps the exact arithmetic
+that descent's attraction behaviour was tested with: round-off decides
+whether a start in the attracted antisymmetric subspace converges or
+escapes, and at n = 7..11 more such starts escape with a Fourier solve.
+From n = 64 on the real FFT is faster, whether an operator serves many
+solves or one, and ``solve`` is ``solve_dft``.  The crossover was measured:
+Thomas against the FFT at n = 16..128, at constant sigma and with a new
+operator per solve; n = 64 is the smallest size where the FFT was faster
+both ways in the median of five interleaved runs (at n = 48 the
+constant-sigma times tie).
 
 For n = 2 both ring neighbours are the same entry, so the operator is the
 ring at half strength, the single coupling [[1 + sigma, -sigma], [-sigma,
 1 + sigma]] with eigenvalues {1, 1 + 2*sigma}.
 """
 
+import functools
+
 import numpy as np
 
 __all__ = ["CirculantSmoother", "solve_smoothed_pair"]
+
+# smallest n whose default solve is the real FFT rather than Thomas
+_FOURIER_FROM_N = 64
+
+
+@functools.lru_cache(maxsize=8)
+def _ring_symbol(n):
+    # eigenvalues of -L, 2 - 2 cos(2 pi k / n), in DFT mode order; shared by
+    # every operator of this size, so read-only
+    k = np.arange(n)
+    symbol = 2.0 - 2.0 * np.cos(2.0 * np.pi * k / n)
+    symbol.flags.writeable = False
+    return symbol
 
 
 def solve_smoothed_pair(sigma, y0, y1):
@@ -86,25 +109,20 @@ class CirculantSmoother:
             raise ValueError("input has non-finite entries")
         return x
 
-    def _fourier(self, x, weights, what):
-        # ifft(weights * fft(x)) along axis 0.  The imaginary part is pure
-        # round-off; it is checked per column against 1e-10 * ||x|| before
-        # being dropped.
+    def _fourier(self, x, weights):
+        # irfft(weights * rfft(x)) along axis 0.  The spectrum is even in
+        # the mode index, so the n // 2 + 1 modes rfft keeps carry all of
+        # it, and irfft returns a real array by construction.
+        weights = weights[:self._n // 2 + 1]
         if x.ndim == 2:
             weights = weights[:, None]
-        out = np.fft.ifft(np.fft.fft(x, axis=0) * weights, axis=0)
-        drift = np.max(np.abs(out.imag), axis=0)
-        if np.any(drift > 1e-10 * np.linalg.norm(x, axis=0)):
-            raise ArithmeticError(
-                f"{what} produced imaginary drift {np.max(drift):.3e}")
-        return out.real
+        return np.fft.irfft(np.fft.rfft(x, axis=0) * weights, self._n,
+                            axis=0)
 
     def spectrum(self):
         """Eigenvalues in DFT mode order, all in [1, 1 + 4*sigma]."""
         if self._spectrum is None:
-            k = np.arange(self._n)
-            self._spectrum = 1.0 + self._c * (
-                2.0 - 2.0 * np.cos(2.0 * np.pi * k / self._n))
+            self._spectrum = 1.0 + self._c * _ring_symbol(self._n)
         return self._spectrum.copy()
 
     def apply(self, x):
@@ -127,13 +145,14 @@ class CirculantSmoother:
     def solve_dft(self, y):
         """Solve A x = y by Fourier diagonalization.
 
-        The right-hand side is transformed, scaled mode by mode by the
-        reciprocal eigenvalues, and transformed back.  The imaginary part of
-        the result is pure round-off; it is checked against 1e-10 * ||y||
-        per column before being dropped.
+        The right-hand side is transformed with a real FFT, scaled mode by
+        mode by the reciprocal eigenvalues, and transformed back.  At
+        sigma = 0 it returns a copy of y, exactly as Thomas does.
         """
-        return self._fourier(self._check(y), 1.0 / self.spectrum(),
-                             "DFT solve")
+        y = self._check(y)
+        if self._sigma == 0.0:
+            return y.copy()
+        return self._fourier(y, 1.0 / self.spectrum())
 
     def _thomas_factors(self):
         # A = T + u v^T where T is the tridiagonal part with modified
@@ -155,25 +174,25 @@ class CirculantSmoother:
             u = np.zeros(n)
             u[0] = gamma
             u[-1] = -c
-            q = self._tri_solve(denom, u)
+            q = self._tri_solve(denom, u.tolist())
             v_dot_q = q[0] - (c / gamma) * q[-1]
             self._thomas = (denom, q, v_dot_q, gamma)
         return self._thomas
 
-    def _tri_solve(self, denom, rhs):
-        # Solve T x = rhs given the precomputed elimination denominators,
-        # row by row, so each column of an (n, k) rhs gets exactly the
-        # arithmetic of a single vector.  The rows are Python floats (or row
-        # arrays) rather than numpy scalars: the same IEEE operations in the
-        # same order, without numpy's per-element indexing cost.
+    def _tri_solve(self, denom, x):
+        # Solve T x = rhs in place, given the precomputed elimination
+        # denominators and the rhs rows as a list: Python floats for a
+        # vector, row arrays for an (n, k) array, so each column gets
+        # exactly the arithmetic of a single vector.  The same IEEE
+        # operations in the same order as a loop over numpy scalars, without
+        # numpy's per-element indexing cost.
         n, c = self._n, self._c
-        x = rhs.tolist() if rhs.ndim == 1 else list(rhs)
         for i in range(1, n):
             x[i] = x[i] + c * x[i - 1] / denom[i - 1]
         x[-1] = x[-1] / denom[-1]
         for i in range(n - 2, -1, -1):
             x[i] = (x[i] + c * x[i + 1]) / denom[i]
-        return np.array(x)
+        return x
 
     def solve_thomas(self, y):
         """Solve A x = y by tridiagonal elimination.
@@ -187,13 +206,26 @@ class CirculantSmoother:
         if self._sigma == 0.0:
             return y.copy()
         denom, q, v_dot_q, gamma = self._thomas_factors()
-        w = self._tri_solve(denom, y)
+        w = self._tri_solve(denom, y.tolist() if y.ndim == 1 else list(y))
         v_dot_w = w[0] - (self._c / gamma) * w[-1]
-        return w - np.multiply.outer(q, v_dot_w / (1.0 + v_dot_q))
+        t = v_dot_w / (1.0 + v_dot_q)
+        if y.ndim == 1:
+            # w_i - q_i * t, as np.multiply.outer would round it
+            return np.array([wi - qi * t for wi, qi in zip(w, q)])
+        return np.array(w) - np.multiply.outer(q, t)
 
     def solve(self, y):
-        """Default solve route (tridiagonal elimination)."""
-        return self.solve_thomas(y)
+        """Default solve: ``solve_thomas`` below n = 64, ``solve_dft`` from it.
+
+        Each route is the faster one on its side of the measured crossover,
+        with or without a new operator per solve, and the result is that
+        route's bit for bit.  The small sizes, where descent's attraction
+        behaviour is tested and where a Fourier solve's round-off lets more
+        antisymmetric starts escape, keep Thomas's exact arithmetic.
+        """
+        if self._n < _FOURIER_FROM_N:
+            return self.solve_thomas(y)
+        return self.solve_dft(y)
 
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.
@@ -201,5 +233,4 @@ class CirculantSmoother:
         Each Fourier mode is divided by sqrt(eigenvalue); applying it twice
         reproduces a full solve.
         """
-        return self._fourier(self._check(x), 1.0 / np.sqrt(self.spectrum()),
-                             "inverse-sqrt apply")
+        return self._fourier(self._check(x), 1.0 / np.sqrt(self.spectrum()))

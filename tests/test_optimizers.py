@@ -15,6 +15,7 @@ from smoothgd.optimizers import (
     stationarity_iteration_bound,
 )
 from smoothgd.saddle import QuadraticObjective, canonical_objective
+from smoothgd.smoothing import _FOURIER_FROM_N, CirculantSmoother
 
 
 def test_constant_schedule():
@@ -185,3 +186,31 @@ def test_final_grad_norm_is_exactly_the_norm_of_the_gradient(rng, n,
                 target.gradient(result.final_point)))
             assert result.final_grad_norm == expect
 
+
+def test_constant_sigma_zero_is_plain_gd_bit_for_bit(rng):
+    # at a size where the default solve is the FFT route
+    n = 513
+    objective = canonical_objective(n)
+    x0 = rng.standard_normal(n)
+    result = run(objective, x0, RunConfig(eta=0.1, max_iters=25),
+                 ConstantSigma(0.0))
+    x = x0.copy()
+    for _ in range(25):
+        x = x - 0.1 * objective.gradient(x)
+    assert np.array_equal(result.final_point, x)
+
+
+@pytest.mark.parametrize("n", [_FOURIER_FROM_N, 2 * _FOURIER_FROM_N + 1])
+@pytest.mark.parametrize("schedule", [RatioSigma(), ConstantSigma(0.7)])
+def test_run_above_the_crossover_matches_a_dense_replay(rng, n, schedule):
+    d = rng.uniform(0.5, 2.0, n)
+    d[rng.random(n) < 0.1] *= -0.5
+    objective = GradientFunction(n, lambda x: d * x)
+    x0 = rng.standard_normal(n)
+    result = run(objective, x0, RunConfig(eta=0.1, max_iters=40), schedule)
+    x = x0.copy()
+    for k in range(40):
+        dense = CirculantSmoother(n, schedule(k)).dense()
+        x = x - 0.1 * np.linalg.solve(dense, d * x)
+    assert result.iterations_used == 40
+    assert np.linalg.norm(result.final_point - x) <= 1e-10 * np.linalg.norm(x)

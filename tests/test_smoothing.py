@@ -7,7 +7,8 @@ import pytest
 
 from smoothgd.optimizers import PlateauSigma, RunConfig, RunStatus, run
 from smoothgd.saddle import canonical_objective
-from smoothgd.smoothing import CirculantSmoother, solve_smoothed_pair
+from smoothgd.smoothing import (_FOURIER_FROM_N, CirculantSmoother,
+                                solve_smoothed_pair)
 
 
 def test_spectrum_n4_sigma1_exact():
@@ -118,7 +119,9 @@ def test_batched_solves_match_columns(rng, n):
     # Thomas runs row by row, so each column gets a vector's exact arithmetic
     thomas = np.column_stack([op.solve_thomas(c) for c in y.T])
     np.testing.assert_array_equal(op.solve_thomas(y), thomas)
-    np.testing.assert_array_equal(op.solve(y), thomas)
+    # the default route is Thomas below the crossover, the FFT from it
+    expect = thomas if n < _FOURIER_FROM_N else op.solve_dft(y)
+    np.testing.assert_array_equal(op.solve(y), expect)
     for method in (op.solve_dft, op.apply):
         by_column = np.column_stack([method(c) for c in y.T])
         np.testing.assert_allclose(method(y), by_column, rtol=0,
@@ -180,8 +183,12 @@ def _numpy_scalar_thomas(n, sigma, y):
 def test_thomas_matches_the_numpy_scalar_loop_bit_for_bit(rng, n, sigma, k):
     shape = (n,) if k is None else (n, k)
     y = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
-    expect = _numpy_scalar_thomas(n, sigma, y)
-    for route in ("solve_thomas", "solve"):
+    thomas = _numpy_scalar_thomas(n, sigma, y)
+    # from the crossover on, the default solve is the FFT route's bits
+    fourier = CirculantSmoother(n, sigma).solve_dft(y)
+    for route, expect in (("solve_thomas", thomas),
+                          ("solve", thomas if n < _FOURIER_FROM_N
+                           else fourier)):
         # a fresh operator, so the cached factors are built by the fast path
         got = getattr(CirculantSmoother(n, sigma), route)(y)
         assert got.shape == expect.shape and got.dtype == np.float64
@@ -236,6 +243,46 @@ def test_run_keeps_antisymmetric_starts_attracted(n):
         assert np.array_equal(result.final_point, point)
         assert (result.iterations_used, result.status,
                 result.final_grad_norm) == (iterations, status, gnorm)
+
+
+@pytest.mark.parametrize("n", [_FOURIER_FROM_N + 1, 2 * _FOURIER_FROM_N + 1])
+def test_run_above_the_crossover_keeps_antisymmetric_starts_attracted(n):
+    # the FFT route's round-off, at sizes where it is the default solve
+    rng = np.random.default_rng(7000 + n)
+    objective = canonical_objective(n)
+    config = RunConfig(eta=0.1, max_iters=10 ** 4, eps_stationary=1e-6,
+                       escape_radius=1e3)
+    for _ in range(10):
+        x0 = np.zeros(n)
+        for k in range((n - 1) // 2):
+            c = rng.standard_normal()
+            x0[k] += c
+            x0[n - 2 - k] -= c
+        x0 /= np.linalg.norm(x0)
+        result = run(objective, x0, config, PlateauSigma(8))
+        assert result.status is RunStatus.REACHED_STATIONARY
+        assert np.linalg.norm(result.final_point) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 65, 513, 4096])
+def test_fourier_solve_matches_dense(rng, n):
+    op = CirculantSmoother(n, 2.5)
+    # column 0 is solved as a vector, the other five as one (n, 5) batch;
+    # a single dense solve serves both
+    y = rng.standard_normal((n, 6))
+    expect = np.linalg.solve(op.dense(), y)
+    got = np.column_stack([op.solve_dft(y[:, 0]), op.solve_dft(y[:, 1:])])
+    err = np.linalg.norm(got - expect, axis=0)
+    assert np.all(err <= 1e-12 * np.linalg.norm(y, axis=0))
+
+
+@pytest.mark.parametrize("n", [3, 64, 513])
+def test_sigma_zero_is_exact_on_every_route(rng, n):
+    op = CirculantSmoother(n, 0.0)
+    for y in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+        for route in (op.solve, op.solve_dft, op.solve_thomas):
+            got = route(y)
+            assert np.array_equal(got, y) and got is not y
 
 
 @pytest.mark.parametrize("sigma", [0.0, 0.3, 2.0, 100.0])
