@@ -6,6 +6,7 @@ leaves a partial artifact behind.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -325,7 +326,9 @@ def _cmd_sweep(args):
     return 0
 
 
+@functools.lru_cache(maxsize=1)
 def _build_parser():
+    # built once per process: parse_args leaves the parser as it was
     parser = _Parser(
         prog="smoothgd",
         description="Smoothed gradient descent: solves, runs, saddle "

@@ -23,6 +23,7 @@ The kernel is the only code that takes a step, and it is the reference the
 tests compare the step-map route with.
 """
 
+import itertools
 import json
 import math
 import os
@@ -465,7 +466,7 @@ def atomic_write(path, text):
 
 _CSV_HEADER = "r,theta_deg,x0_0,x0_1,final_distance,status"
 _CSV_BLOCK_ROWS = 8192
-_csv_row = "%.17g,%.17g,%.17g,%.17g,%.17g,%s\n".__mod__
+_csv_tail = "%.17g,%.17g,%.17g,%.17g,%s\n".__mod__   # a row after r
 
 
 def emit_csv(field, path):
@@ -473,7 +474,8 @@ def emit_csv(field, path):
 
     Floats are rendered with 17 significant digits so parsing the file
     back reproduces them bit for bit.  Rows are formatted and written in
-    blocks, so memory does not grow with the field.  The write is atomic:
+    blocks, so memory does not grow with the field; within a block the
+    radius is formatted once per run of equal values.  The write is atomic:
     the file appears complete or not at all.
     """
     atomic_write(path, _csv_blocks(field))
@@ -484,11 +486,23 @@ def _csv_blocks(field):
                   for key in sorted(field.metadata)) + _CSV_HEADER + "\n"
     for lo in range(0, len(field), _CSV_BLOCK_ROWS):
         rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-        yield "".join(map(_csv_row, zip(
-            field.r[rows].tolist(), field.theta_deg[rows].tolist(),
+        tails = map(_csv_tail, zip(
+            field.theta_deg[rows].tolist(),
             field.x0[rows, 0].tolist(), field.x0[rows, 1].tolist(),
             field.final_distance[rows].tolist(),
-            [STATUS_STRINGS[code] for code in field.status[rows].tolist()])))
+            [STATUS_STRINGS[code] for code in field.status[rows].tolist()]))
+        # r is formatted once per run of bit-equal values, which in
+        # radius-major order is once per radius; comparing bits keeps -0.0
+        # and NaN in runs of their own
+        r = np.asarray(field.r[rows], dtype=float)
+        bits = r.view(np.int64)
+        cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(),
+                len(r)]
+        r = r.tolist()
+        for a, b in zip(cuts, cuts[1:]):
+            head = "%.17g," % r[a]
+            yield head
+            yield head.join(itertools.islice(tails, b - a))
 
 
 def load_csv(path):

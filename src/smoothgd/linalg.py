@@ -73,12 +73,29 @@ def _require_symmetric(a, name="matrix"):
         raise ValueError(f"{name} is not symmetric within 1e-12 relative")
 
 
+def _sign_fix_columns(m, tol=1e-10):
+    """Flip each column of m whose first entry above tol in magnitude is < 0.
+
+    Columns with no such entry are left as they are.  Only negations
+    happen, so every entry keeps its bits up to the sign.  Returns a new
+    array.
+    """
+    m = np.asarray(m, dtype=float)
+    if m.shape[0] == 0:
+        return m.copy()
+    big = np.abs(m) > tol
+    # row of each column's first entry above tol (0 where there is none)
+    at = big.argmax(axis=0), np.arange(m.shape[1])
+    return np.where(big[at] & (m[at] < 0), -m, m)
+
+
 def sign_normalize(v, tol=1e-10):
-    """Flip v so its first entry with magnitude above tol is positive."""
-    for entry in v:
-        if abs(entry) > tol:
-            return v if entry > 0 else -v
-    return v
+    """Flip v so its first entry with magnitude above tol is positive.
+
+    The single-vector case of the column rule the eigen routes apply; a
+    vector with no entry above tol comes back unchanged (as a new array).
+    """
+    return _sign_fix_columns(np.asarray(v, dtype=float)[:, None], tol)[:, 0]
 
 
 def sym_eigendecompose(m):
@@ -94,9 +111,9 @@ def sym_eigendecompose(m):
     a = _as_square(m)
     _require_symmetric(a)
     values, vectors = np.linalg.eigh(a)
-    rows = vectors.T[::-1].copy()
-    return [EigenPair(float(value), sign_normalize(vec))
-            for value, vec in zip(values[::-1], rows)]
+    rows = _sign_fix_columns(vectors[:, ::-1]).T.copy()
+    return [EigenPair(float(value), vec)
+            for value, vec in zip(values[::-1].tolist(), rows)]
 
 
 def _similar_symmetric(op, b):
@@ -113,21 +130,22 @@ def _map_back(op, b, values, vectors):
     """Eigenpairs of A^(-1) B from eigenvectors of its similar form.
 
     ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
-    Each goes back through A^(-1/2), is renormalized and sign-fixed, and
-    must satisfy ||A^(-1) B v - lambda v|| <= 1e-8, checked for all pairs
-    with one batched ``solve`` (Thomas or the FFT, by size); otherwise
-    :class:`ConvergenceError` is raised with the worst residual.
+    Each goes back through A^(-1/2), is renormalized and sign-fixed (all
+    columns at once), and must satisfy ||A^(-1) B v - lambda v|| <= 1e-8,
+    checked for all pairs with one batched ``solve`` (Thomas or the FFT,
+    by size); otherwise :class:`ConvergenceError` is raised with the worst
+    residual.
     """
     mapped = op.inv_sqrt_apply(vectors)
     mapped /= np.linalg.norm(mapped, axis=0)
-    rows = [sign_normalize(vec) for vec in mapped.T.copy()]
-    cols = np.column_stack(rows)
+    cols = _sign_fix_columns(mapped)
     residual = np.max(np.linalg.norm(
         op.solve(b @ cols) - cols * np.asarray(values), axis=0))
     if residual > 1e-8:
         raise ConvergenceError(
             "back-transformed eigenpair failed its residual check", residual)
-    return [EigenPair(float(value), vec) for value, vec in zip(values, rows)]
+    return [EigenPair(float(value), vec)
+            for value, vec in zip(values, cols.T.copy())]
 
 
 def eig_preconditioned_hessian(b, sigma):

@@ -19,6 +19,8 @@ general symmetric matrix by intersecting its positive eigenspaces with the
 eigenspaces of the ring second-difference operator.
 """
 
+import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,8 +86,10 @@ class QuadraticObjective:
     def dim(self):
         return self.matrix.shape[0]
 
-    @property
+    @functools.cached_property
     def is_canonical(self):
+        # computed on first use, once per object: descent builds many
+        # objectives that never ask
         ref = np.ones(self.dim)
         ref[-1] = -1.0
         return bool(np.max(np.abs(self.matrix - np.diag(ref))) <= 1e-12)
@@ -123,21 +127,40 @@ class ModeClass(Enum):
     NEGATIVE_MODE = "negative_mode"
 
 
-def _pattern_residuals(v):
-    head = v[:-1]
-    rev = head[::-1]
-    anti = float(np.max(np.abs(head + rev))) if len(head) else 0.0
-    sym = float(np.max(np.abs(head - rev))) if len(head) else 0.0
-    return anti, sym, abs(float(v[-1]))
+def _pattern_residuals(vectors):
+    """Antisymmetric, symmetric and last-entry residuals, one per row.
+
+    For a row v with head h = v[:-1]: max |h + reversed h|, max |h -
+    reversed h| (both 0 when the head is empty) and |v[-1]|.
+    """
+    head = vectors[:, :-1]
+    rev = head[:, ::-1]
+    anti = np.max(np.abs(head + rev), axis=1, initial=0.0)
+    sym = np.max(np.abs(head - rev), axis=1, initial=0.0)
+    return anti, sym, np.abs(vectors[:, -1])
 
 
-def _classify(value, vector, tol):
-    anti, sym, last = _pattern_residuals(vector)
-    if anti <= tol and last <= tol:
-        return ModeClass.ANTISYMMETRIC_SINE
-    if sym <= tol and last > tol:
-        return ModeClass.NEGATIVE_MODE if value < 0 else ModeClass.SYMMETRIC
-    return None
+def _classify(values, vectors, tol):
+    """The ModeClass (or None) of each eigenpair; vectors are rows.
+
+    Antisymmetric: anti and last residuals <= tol.  Otherwise, with the sym
+    residual <= tol and the last entry above tol: the negative mode for a
+    negative eigenvalue, symmetric for the rest.  Anything else is None.
+    """
+    anti, sym, last = _pattern_residuals(vectors)
+    is_anti = (anti <= tol) & (last <= tol)
+    is_sym = (sym <= tol) & (last > tol)
+    negative = np.asarray(values) < 0
+    labels = []
+    for a, s, neg in zip(is_anti.tolist(), is_sym.tolist(), negative.tolist()):
+        if a:
+            labels.append(ModeClass.ANTISYMMETRIC_SINE)
+        elif s:
+            labels.append(ModeClass.NEGATIVE_MODE if neg
+                          else ModeClass.SYMMETRIC)
+        else:
+            labels.append(None)
+    return labels, (anti, sym, last)
 
 
 @dataclass(frozen=True)
@@ -170,20 +193,29 @@ class EigenStructure:
 
 
 def _orthonormalize(rows, drop_tol=1e-8):
-    """Modified Gram-Schmidt over row vectors, dropping dependent ones."""
-    kept = []
-    for row in np.asarray(rows, dtype=float):
-        w = row.copy()
-        for b in kept:
-            w -= (b @ w) * b
-        # second pass for re-orthogonalization stability
-        for b in kept:
-            w -= (b @ w) * b
-        norm = np.linalg.norm(w)
-        if norm > drop_tol * max(1.0, np.linalg.norm(row)):
-            kept.append(w / norm)
-    n = rows.shape[1] if getattr(rows, "ndim", 0) == 2 else len(kept[0])
-    return np.array(kept) if kept else np.empty((0, n))
+    """Gram-Schmidt over the rows of a 2-d array, dropping dependent ones.
+
+    Classical Gram-Schmidt with one re-orthogonalisation pass (CGS2): each
+    row is projected off all kept rows at once, twice, which is as accurate
+    as modified Gram-Schmidt with two passes (Giraud, Langou & Rozloznik,
+    Comput. Math. Appl. 50, 2005).  A row whose remainder has norm at most
+    drop_tol * max(1, ||row||) is dropped; the others are normalised and
+    kept, in order.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    kept = np.empty(rows.shape)
+    k = 0
+    for row in rows:
+        basis = kept[:k]
+        w = row - basis.T @ (basis @ row)
+        w -= basis.T @ (basis @ w)
+        # sqrt(x . x) is np.linalg.norm of a contiguous vector, without
+        # its dispatch
+        norm = math.sqrt(w.dot(w))
+        if norm > drop_tol * max(1.0, math.sqrt(row.dot(row))):
+            kept[k] = w / norm
+            k += 1
+    return kept[:k]
 
 
 @dataclass(frozen=True)
@@ -233,32 +265,33 @@ def eigen_structure(objective, sigma, tol=1e-8):
     The index reflection commutes with the smoothing operator (a circulant
     is unchanged by reversing the ring) and with the canonical matrix, so
     for canonical objectives the similar symmetric matrix is decomposed
-    blockwise on the reflection-even and reflection-odd subspaces.  That
-    keeps eigenvectors of nearby eigenvalues from different families from
-    mixing, no matter how small the gap.  General matrices go through the
-    plain route and vectors that fit no pattern get label None; for a
-    canonical objective with sigma > 0 an unclassified vector, or family
-    counts different from (floor((n-1)/2), floor(n/2), 1), raise
-    :class:`ClassificationError` instead.
+    blockwise on the reflection-even and reflection-odd subspaces (the
+    cached :func:`canonical_attraction_basis` split), and the vectors of
+    both blocks are mapped back and checked in one batch.  That keeps
+    eigenvectors of nearby eigenvalues from different families from mixing,
+    no matter how small the gap.  General matrices go through the plain
+    route.
+
+    All vectors are classified at once from three residuals per vector,
+    max |h + reversed h|, max |h - reversed h| over the head h = v[:-1],
+    and |v[-1]|, each compared with ``tol``.  Vectors that fit no pattern
+    get label None; for a canonical objective with sigma > 0 an
+    unclassified vector, or family counts different from (floor((n-1)/2),
+    floor(n/2), 1), raise :class:`ClassificationError` instead.
     """
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     b = objective.matrix
-    if objective.is_canonical:
+    canonical = objective.is_canonical
+    if canonical:
         pairs = _reflection_adapted_pairs(b, sigma)
     else:
         pairs = linalg.eig_preconditioned_hessian(b, sigma)
-    labels = [_classify(p.value, p.vector, tol) for p in pairs]
-    strict = objective.is_canonical and sigma > 0.0
-    if strict:
-        bad = {
-            p.value: _pattern_residuals(p.vector)
-            for p, l in zip(pairs, labels) if l is None
-        }
-        if bad:
-            raise ClassificationError(
-                "eigenvectors fit neither symmetry pattern", bad)
+    values = [p.value for p in pairs]
+    labels, residuals = _classify(
+        values, np.array([p.vector for p in pairs]), tol)
+    if canonical and sigma > 0.0:
         n = objective.dim
         expected = {
             ModeClass.ANTISYMMETRIC_SINE: (n - 1) // 2,
@@ -266,10 +299,15 @@ def eigen_structure(objective, sigma, tol=1e-8):
             ModeClass.NEGATIVE_MODE: 1,
         }
         got = {m: labels.count(m) for m in expected}
-        if got != expected:
+        if None in labels or got != expected:
+            # value -> (anti, sym, last) residuals, in pair order
+            rows = list(zip(values, zip(*(r.tolist() for r in residuals))))
+            if None in labels:
+                raise ClassificationError(
+                    "eigenvectors fit neither symmetry pattern",
+                    {v: r for (v, r), l in zip(rows, labels) if l is None})
             raise ClassificationError(
-                f"family counts {got} differ from {expected}",
-                {p.value: _pattern_residuals(p.vector) for p in pairs})
+                f"family counts {got} differ from {expected}", dict(rows))
     return EigenStructure(sigma, tuple(pairs), tuple(labels))
 
 
@@ -279,23 +317,25 @@ def _reflection_adapted_pairs(b, sigma):
     Builds the similar symmetric matrix A^(-1/2) B A^(-1/2), restricts it
     to the reflection-odd and reflection-even subspaces (both invariant
     when B is canonical), decomposes each restriction on its own, and maps
-    the vectors back through A^(-1/2), which preserves parity.  Each pair
-    is verified to satisfy ||A^(-1) B v - lambda v|| <= 1e-8.
+    the vectors of both blocks back through A^(-1/2) in one batch, which
+    preserves parity.  Each pair is verified to satisfy ||A^(-1) B v -
+    lambda v|| <= 1e-8.  Pairs come sorted by descending eigenvalue, ties
+    with the odd block first.
     """
     n = b.shape[0]
     op = CirculantSmoother(n, sigma)
     sym = linalg._similar_symmetric(op, b)
     split = canonical_attraction_basis(n)
-    pairs = []
+    values, vectors = [], []
     for block in (split.antisymmetric.rows, split.symmetric.rows):
         if block.shape[0] == 0:
             continue
         restricted = block @ sym @ block.T
         restricted = 0.5 * (restricted + restricted.T)
         small = linalg.sym_eigendecompose(restricted)
-        pairs += linalg._map_back(
-            op, b, [p.value for p in small],
-            block.T @ np.column_stack([p.vector for p in small]))
+        values += [p.value for p in small]
+        vectors.append(block.T @ np.column_stack([p.vector for p in small]))
+    pairs = linalg._map_back(op, b, values, np.hstack(vectors))
     pairs.sort(key=lambda p: -p.value)
     return pairs
 
@@ -308,10 +348,18 @@ def canonical_attraction_basis(n):
     adds the matching plus-combinations, the last coordinate axis, and for
     even n the middle axis e_{n/2-1}.  Dimensions are floor((n-1)/2) and
     n - floor((n-1)/2).
+
+    The split is built once per n and cached for the last few sizes, so
+    callers share one immutable object: the dataclasses are frozen and the
+    basis rows read-only.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    n = int(n)
+    return _canonical_split(int(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _canonical_split(n):
     eye = np.eye(n)
     half = 1.0 / np.sqrt(2.0)
     anti = [half * (eye[k] - eye[n - 2 - k]) for k in range((n - 1) // 2)]

@@ -231,6 +231,10 @@ class CirculantSmoother:
         """Apply A^(-1/2), the inverse symmetric square root.
 
         Each Fourier mode is divided by sqrt(eigenvalue); applying it twice
-        reproduces a full solve.
+        reproduces a full solve.  At sigma = 0 it returns a copy of x, as
+        the solves do, so A(0)^(-1/2) is the identity exactly.
         """
-        return self._fourier(self._check(x), 1.0 / np.sqrt(self.spectrum()))
+        x = self._check(x)
+        if self._sigma == 0.0:
+            return x.copy()
+        return self._fourier(x, 1.0 / np.sqrt(self.spectrum()))

@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (in process)."""
 
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smoothgd import cli
 from smoothgd.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -345,3 +347,44 @@ def test_help_golden(name, args, capsys, monkeypatch):
     assert info.value.code == 0
     golden = (DATA / f"help_{name}.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+def test_parser_is_built_once_and_reused(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    steps = [
+        ["analyze", "--n", "5", "--sigma-list", "0.5,2"],
+        ["smooth", "--sigma", "1", "--input", "x", "--method", "magic"],
+        ["analyze", "--help"],
+        ["analyze", "--n", "6"],
+    ]
+
+    def outcome(args):
+        try:
+            rc = main(list(args))
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        return rc, capsys.readouterr()
+
+    fresh = []
+    for args in steps:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(args))
+    assert [rc for rc, _ in fresh] == [0, 1, ("exit", 0), 0]
+    assert fresh[2][1].out == (DATA / "help_analyze.txt").read_text()
+
+    calls = []
+    original = argparse.ArgumentParser.add_argument
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", spy)
+    cli._build_parser.cache_clear()
+    try:
+        for i, (args, expect) in enumerate(zip(steps, fresh)):
+            built = len(calls)
+            assert outcome(args) == expect
+            assert (len(calls) > built) == (i == 0)
+    finally:
+        cli._build_parser.cache_clear()

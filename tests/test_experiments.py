@@ -401,12 +401,25 @@ def test_csv_round_trip_with_nan(tmp_path):
 
 
 def test_csv_blocks_match_row_by_row_format(tmp_path):
-    grid = PolarGrid(0.1, 0.2, 0.1, -180.0, 180.0, 0.04)
+    grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 0.04)
     field = sweep(SWAP, grid, RunConfig(eta=0.1, max_iters=5), RatioSigma())
-    assert len(field) > 2 * experiments._CSV_BLOCK_ROWS
-    status = (np.arange(len(field)) % 4).astype(np.int8)
-    distance = np.where(status == 3, math.nan, field.final_distance)
-    field = DistanceField(r=field.r, theta_deg=field.theta_deg, x0=field.x0,
+    # three radii, each block boundary inside one of them
+    block = experiments._CSV_BLOCK_ROWS
+    assert len(np.unique(field.r)) == 3 and len(field) > 3 * block
+    assert all(field.r[k * block - 1] == field.r[k * block] for k in (1, 2, 3))
+    # then runs of radii that compare equal or print alike but differ in
+    # bits: -0.0 and 0.0, NaN and -NaN; and a radius seen before
+    extra = np.repeat([-0.0, 0.0, math.nan, -math.nan, 0.3, -0.0], 3)
+    theta = np.linspace(-90.0, 90.0, len(extra))
+    r = np.concatenate([field.r, extra])
+    theta = np.concatenate([field.theta_deg, theta])
+    x0 = np.column_stack([r * np.cos(np.radians(theta)),
+                          r * np.sin(np.radians(theta))])
+    x0[:len(field)] = field.x0
+    status = (np.arange(len(r)) % 4).astype(np.int8)
+    distance = np.concatenate([field.final_distance, np.ones(len(extra))])
+    distance = np.where(status == 3, math.nan, distance)
+    field = DistanceField(r=r, theta_deg=theta, x0=x0,
                           final_distance=distance, status=status,
                           metadata=field.metadata)
     lines = [f"# {key}: {field.metadata[key]}"

@@ -80,6 +80,52 @@ def test_sign_normalize():
     np.testing.assert_array_equal(sign_normalize(z), z)
 
 
+def _sign_normalize_loop(v, tol=1e-10):
+    # the per-entry rule the column fix replaced, kept as its oracle
+    for entry in v:
+        if abs(entry) > tol:
+            return v if entry > 0 else -v
+    return v
+
+
+def test_column_sign_fix_matches_the_per_vector_rule(rng):
+    tol = 1e-10
+    cols = [
+        np.zeros(4),                           # no entry above tol
+        np.array([tol, -tol, 0.0, -0.0]),      # entries exactly at +-tol
+        np.array([-tol, 2 * tol, -1.0, 0.0]),  # first above tol is +2 tol
+        np.array([tol, -2 * tol, 1.0, 0.0]),   # first above tol is -2 tol
+        np.array([-0.0, -0.5, 0.5, -0.0]),
+        np.array([0.0, 0.0, 0.0, -3.0]),
+        np.array([1e-11, -1e-11, 0.0, 0.0]),
+    ]
+    m = np.column_stack(cols + list(rng.standard_normal((5, 4))))
+    got = linalg._sign_fix_columns(m, tol)
+    for j in range(m.shape[1]):
+        expect = _sign_normalize_loop(m[:, j].copy(), tol)
+        assert got[:, j].tobytes() == expect.tobytes()   # signs of zeros too
+        assert sign_normalize(m[:, j], tol).tobytes() == expect.tobytes()
+    np.testing.assert_array_equal(m[:, 1], cols[1])   # input untouched
+
+
+def test_eigen_routes_sign_fix_every_vector(rng):
+    b = rng.standard_normal((9, 9))
+    b = 0.5 * (b + b.T)
+    for pairs in (sym_eigendecompose(b), eig_preconditioned_hessian(b, 0.7)):
+        for p in pairs:
+            assert p.vector.flags.c_contiguous
+            expect = _sign_normalize_loop(p.vector.copy())
+            assert p.vector.tobytes() == expect.tobytes()
+
+
+def test_sigma_zero_preconditioning_is_the_plain_eigenproblem(rng):
+    # A(0)^(-1/2) is the identity exactly, so the similar matrix is B itself
+    b = rng.standard_normal((7, 7))
+    b = 0.5 * (b + b.T)
+    got = [p.value for p in eig_preconditioned_hessian(b, 0.0)]
+    assert got == [p.value for p in sym_eigendecompose(b)]
+
+
 def test_preconditioned_n2_analytic():
     # diag(1, -1) preconditioned by the n = 2 smoother: eigenvalues
     # +-1 / sqrt(1 + 2 sigma)

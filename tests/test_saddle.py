@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from smoothgd import saddle
+from smoothgd.linalg import eig_preconditioned_hessian
 from smoothgd.optimizers import ConstantSigma, RatioSigma
 from smoothgd.saddle import (
+    ClassificationError,
     ModeClass,
     QuadraticObjective,
     SubspaceBasis,
@@ -208,3 +211,170 @@ def test_subspace_basis_validation():
         SubspaceBasis(np.array([[1.0, 1.0]]))  # not unit length
     basis = SubspaceBasis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert basis.dim == 2
+
+
+# -- the per-vector and row-by-row code the array forms replaced, as oracles --
+
+def _pattern_residuals_one(v):
+    head = v[:-1]
+    rev = head[::-1]
+    anti = float(np.max(np.abs(head + rev))) if len(head) else 0.0
+    sym = float(np.max(np.abs(head - rev))) if len(head) else 0.0
+    return anti, sym, abs(float(v[-1]))
+
+
+def _classify_one(value, vector, tol):
+    anti, sym, last = _pattern_residuals_one(vector)
+    if anti <= tol and last <= tol:
+        return ModeClass.ANTISYMMETRIC_SINE
+    if sym <= tol and last > tol:
+        return ModeClass.NEGATIVE_MODE if value < 0 else ModeClass.SYMMETRIC
+    return None
+
+
+def _orthonormalize_mgs(rows, drop_tol=1e-8):
+    kept = []
+    for row in np.asarray(rows, dtype=float):
+        w = row.copy()
+        for _ in range(2):
+            for b in kept:
+                w -= (b @ w) * b
+        norm = np.linalg.norm(w)
+        if norm > drop_tol * max(1.0, np.linalg.norm(row)):
+            kept.append(w / norm)
+    return np.array(kept) if kept else np.empty((0, rows.shape[1]))
+
+
+def _check_labels(structure, tol=1e-8):
+    pairs = structure.pairs
+    values = [p.value for p in pairs]
+    vectors = np.array([p.vector for p in pairs])
+    labels, residuals = saddle._classify(values, vectors, tol)
+    assert list(structure.labels) == labels == [
+        _classify_one(p.value, p.vector, tol) for p in pairs]
+    assert list(zip(*(r.tolist() for r in residuals))) == [
+        _pattern_residuals_one(p.vector) for p in pairs]
+
+
+def test_array_classification_matches_the_per_vector_rule(eigen_grid):
+    # canonical n = 2..40 over the criterion sigmas
+    for (n, sigma), structure in eigen_grid.items():
+        if n <= 40:
+            _check_labels(structure)
+
+
+def _repeated_saddle(rng, n):
+    # a doubled positive eigenvalue on one ring eigenspace, simple elsewhere
+    idx = np.arange(n)
+    ring = np.array([np.cos(2 * np.pi * idx / n),
+                     np.sin(2 * np.pi * idx / n)]) / math.sqrt(n / 2.0)
+    g = rng.standard_normal((n, n - 2))
+    rest, _ = np.linalg.qr(g - ring.T @ (ring @ g))
+    values = np.concatenate([[-1.5], rng.uniform(0.5, 3.0, n - 3)])
+    m = 2.2 * ring.T @ ring + rest @ np.diag(values) @ rest.T
+    return 0.5 * (m + m.T)
+
+
+def test_array_classification_matches_on_general_matrices(rng):
+    for n in (3, 5, 8, 13):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        random = q @ np.diag(rng.uniform(-3.0, 3.0, n)) @ q.T
+        for m in (0.5 * (random + random.T), _repeated_saddle(rng, n)):
+            for sigma in (0.0, 0.1, 10.0):
+                _check_labels(eigen_structure(QuadraticObjective(m), sigma))
+
+
+def test_array_classification_at_the_tolerance():
+    # residuals land exactly on tol, just above it, or at zero; tol is a
+    # power of two so every sum below is exact
+    tol = 2.0 ** -27
+    vectors, values = [], []
+    for d in (0.0, tol, -tol, 2 * tol):
+        for last in (0.0, tol, -tol, 2 * tol):
+            for value in (-0.5, 0.5):
+                vectors += [[0.25, 0.5, -0.5 + d, -0.25, last],    # anti-like
+                            [0.25, 0.5, 0.5 + d, 0.25, last]]      # sym-like
+                values += [value, value]
+    vectors = np.array(vectors)
+    labels, _ = saddle._classify(values, vectors, tol)
+    assert labels == [_classify_one(v, vec, tol)
+                      for v, vec in zip(values, vectors)]
+    assert set(labels) == {None, *ModeClass}
+    # a 1-d objective has an empty head
+    one = np.array([[0.0], [tol], [1.0]])
+    assert saddle._classify([1.0, -1.0, -1.0], one, tol)[0] == [
+        _classify_one(v, vec, tol) for v, vec in zip([1.0, -1.0, -1.0], one)]
+
+
+def test_classification_error_payload():
+    obj = canonical_objective(6)
+    pairs = saddle._reflection_adapted_pairs(obj.matrix, 1.0)
+    payload = {p.value: _pattern_residuals_one(p.vector) for p in pairs}
+    with pytest.raises(ClassificationError, match="fit neither") as info:
+        eigen_structure(obj, 1.0, tol=-1.0)     # nothing classifies
+    assert info.value.residuals == payload
+    with pytest.raises(ClassificationError, match="family counts") as info:
+        eigen_structure(obj, 1.0, tol=10.0)     # everything is antisymmetric
+    assert info.value.residuals == payload
+
+
+def _gram_schmidt_inputs(rng):
+    a, b, c, d = rng.standard_normal((4, 9))
+    yield np.array([a, b, a + b, c, 2 * a - c, np.zeros(9), d])  # dependent
+    yield rng.standard_normal((12, 5))           # more rows than dimensions
+    yield rng.standard_normal((3, 4)) @ rng.standard_normal((4, 10))
+    yield np.empty((0, 6))
+    for n in (7, 12, 30):
+        structure = eigen_structure(canonical_objective(n), 1.0)
+        for label in ModeClass:
+            yield structure.vectors(label)
+
+
+def test_block_gram_schmidt_matches_modified_gram_schmidt(rng):
+    for rows in _gram_schmidt_inputs(rng):
+        got = saddle._orthonormalize(rows)
+        expect = _orthonormalize_mgs(rows)
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got @ got.T, np.eye(len(got)), atol=1e-14)
+        assert principal_angle(SubspaceBasis(got),
+                               SubspaceBasis(expect)) <= 1e-14
+
+
+def test_kernel_coefficients_match_modified_gram_schmidt(rng):
+    maps = [rng.standard_normal((8, 2)) @ rng.standard_normal((2, 5)),
+            rng.standard_normal((6, 6)), np.zeros((4, 3))]
+    # the residual maps general_attraction_basis builds for a doubled
+    # eigenvalue against each ring eigenspace
+    values, vectors = np.linalg.eigh(_repeated_saddle(rng, 7))
+    basis = vectors[:, np.abs(values - 2.2) <= 1e-9]
+    assert basis.shape == (7, 2)
+    for _, lap in laplacian_eigenspaces(7):
+        maps.append(basis - lap.T @ (lap @ basis))
+    for m_map in maps:
+        got = saddle._kernel_coefficients(m_map, 1e-8)
+        row_basis = _orthonormalize_mgs(m_map, 1e-8)
+        extended = np.vstack([row_basis, np.eye(m_map.shape[1])])
+        expect = _orthonormalize_mgs(extended, 1e-8)[len(row_basis):]
+        assert got.shape == expect.shape
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
+
+
+def test_canonical_basis_is_built_once_and_read_only():
+    first = canonical_attraction_basis(9)
+    second = canonical_attraction_basis(np.int64(9))
+    for a, b in ((first.antisymmetric, second.antisymmetric),
+                 (first.symmetric, second.symmetric)):
+        np.testing.assert_array_equal(a.rows, b.rows)
+        assert not a.rows.flags.writeable
+        with pytest.raises(ValueError):
+            a.rows[0, 0] = 1.0
+    for bad in (1, 0, -3, 2.0, "4"):
+        with pytest.raises(ValueError):
+            canonical_attraction_basis(bad)
+
+
+def test_is_canonical_is_computed_on_first_use():
+    obj = canonical_objective(5)
+    assert "is_canonical" not in vars(obj)
+    assert obj.is_canonical and vars(obj)["is_canonical"] is True
+    assert not QuadraticObjective(np.eye(3)).is_canonical

@@ -276,11 +276,13 @@ def test_fourier_solve_matches_dense(rng, n):
     assert np.all(err <= 1e-12 * np.linalg.norm(y, axis=0))
 
 
-@pytest.mark.parametrize("n", [3, 64, 513])
+@pytest.mark.parametrize("n", [3, 5, 64, 513])
 def test_sigma_zero_is_exact_on_every_route(rng, n):
+    # A(0) and A(0)^(-1/2) are both the identity
     op = CirculantSmoother(n, 0.0)
     for y in (rng.standard_normal(n), rng.standard_normal((n, 5))):
-        for route in (op.solve, op.solve_dft, op.solve_thomas):
+        for route in (op.solve, op.solve_dft, op.solve_thomas,
+                      op.inv_sqrt_apply):
             got = route(y)
             assert np.array_equal(got, y) and got is not y
 
