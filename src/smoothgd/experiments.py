@@ -23,7 +23,8 @@ The kernel is the only code that takes a step, and it is the reference the
 tests compare the step-map route with.
 """
 
-import itertools
+import contextlib
+import contextvars
 import json
 import math
 import os
@@ -314,13 +315,40 @@ def _map_cells(b, x0, config, schedule):
     the budget by the kernel itself, so statuses follow its order.
     Returns None if T is not finite.
     """
-    (t00, t01), (t10, t11), _ = _advance_cells(
-        *b, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config, schedule)
+    t00, t01, t10, t11 = _step_map(b, config, schedule)
     if not all(map(math.isfinite, (t00, t01, t10, t11))):
         return None
     f0 = t00 * x0[:, 0] + t01 * x0[:, 1]
     f1 = t10 * x0[:, 0] + t11 * x0[:, 1]
     return _advance_cells(*b, f0, f1, replace(config, max_iters=0), schedule)
+
+
+# Inside _sharing_step_maps, the step maps built so far, by (b, config,
+# id(schedule)); None outside it.
+_step_maps = contextvars.ContextVar("_step_maps", default=None)
+
+
+@contextlib.contextmanager
+def _sharing_step_maps():
+    """Let the sweeps run inside share T: each one is stepped once."""
+    token = _step_maps.set({})
+    try:
+        yield
+    finally:
+        _step_maps.reset(token)
+
+
+def _step_map(b, config, schedule):
+    """T's entries (t00, t01, t10, t11), from stepping the unit vectors."""
+    shared = _step_maps.get()
+    key = (b, config, id(schedule))
+    if shared is not None and key in shared:
+        return shared[key]
+    (t00, t01), (t10, t11), _ = _advance_cells(
+        *b, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config, schedule)
+    if shared is not None:
+        shared[key] = (t00, t01, t10, t11)
+    return t00, t01, t10, t11
 
 
 def _kernel_cells(b, x0, config, schedule, threads):
@@ -377,16 +405,21 @@ def two_scale_search(objective, coarse_grid, config, schedule,
     field is symmetric under theta -> theta + 180 deg.  Its dips come in
     antipodal pairs, and the returned argmin may lie in either one,
     whichever the coarse round-off favours.
+
+    Both sweeps have the same objective, config and schedule, so on the
+    step-map route T is built once and serves both.
     """
-    coarse = sweep(objective, coarse_grid, config, schedule)
-    pivot = coarse.summary()
-    fine_grid = PolarGrid(
-        r_min=pivot.argmin_r, r_max=pivot.argmin_r, r_step=coarse_grid.r_step,
-        theta_min_deg=pivot.argmin_theta_deg - refine_halfwidth_deg,
-        theta_max_deg=pivot.argmin_theta_deg + refine_halfwidth_deg,
-        theta_step_deg=fine_step_deg,
-    )
-    fine = sweep(objective, fine_grid, config, schedule)
+    with _sharing_step_maps():
+        coarse = sweep(objective, coarse_grid, config, schedule)
+        pivot = coarse.summary()
+        fine_grid = PolarGrid(
+            r_min=pivot.argmin_r, r_max=pivot.argmin_r,
+            r_step=coarse_grid.r_step,
+            theta_min_deg=pivot.argmin_theta_deg - refine_halfwidth_deg,
+            theta_max_deg=pivot.argmin_theta_deg + refine_halfwidth_deg,
+            theta_step_deg=fine_step_deg,
+        )
+        fine = sweep(objective, fine_grid, config, schedule)
     return coarse, fine, fine.summary()
 
 
@@ -466,17 +499,100 @@ def atomic_write(path, text):
 
 _CSV_HEADER = "r,theta_deg,x0_0,x0_1,final_distance,status"
 _CSV_BLOCK_ROWS = 8192
-_csv_tail = "%.17g,%.17g,%.17g,%.17g,%s\n".__mod__   # a row after r
+_CSV_SLICE_ROWS = 1024   # rows whose NULs are dropped in one copy
+_CSV_FLOATS = 5     # r, theta_deg, x0_0, x0_1, final_distance
+
+
+def _words(strings):
+    """ASCII strings NUL-padded to 8 bytes, one uint64 word each."""
+    return np.array(strings, dtype="S8").view(np.uint64)
+
+
+# A block's text is a uint8 array, one row per CSV row and one column per
+# character slot; NUL slots are dropped when the block is written.  A float
+# takes _FLOAT_WIDTH slots, six 8-byte words, each slot at a fixed place
+# whatever the value:
+#   0..5     the sign, then the "0.000" of a fixed-point value below 1, cut
+#            to its length
+#   6..39    17 (digit, slot) pairs; a slot holds the decimal point or NUL
+#   40..43   "e-05" or "e-06", for the exponent form
+#   47       NUL, for the separator after the value
+# Values %g spells otherwise take slots 0..23 (the longest is
+# '-2.2250738585072014e-308').  The status and a newline take three more
+# words at the end of the row.
+_FLOAT_WIDTH = 48
+_STATUS_TEXT = np.array([f"{name}\n" for name in STATUS_STRINGS],
+                        dtype="S24").view(np.uint64).reshape(-1, 3)
+_CSV_ROW_WIDTH = _CSV_FLOATS * _FLOAT_WIDTH + 24
+
+
+def _split(a):
+    """Veltkamp's split of doubles into two 26-bit halves, a = hi + lo."""
+    scaled = 134217729.0 * a   # 2^27 + 1
+    hi = scaled - (scaled - a)
+    return hi, a - hi
+
+
+_POW10 = np.array([float(10 ** k) for k in range(23)])   # exact doubles
+_POW10_HI, _POW10_LO = _split(_POW10)
+
+
+def _quad_words():
+    """Tables for the quads 0..9999: (pairs, last).
+
+    ``pairs[q]`` spreads the four digits of q over a word's even slots;
+    ``last[w - 1][q]`` is the index of the last nonzero digit of q as the
+    w-th quad after D's leading digit, -1 if q is 0.  They take 120 KB,
+    and each emit_csv call builds its own in about 0.4 ms: kept for the
+    life of the module, at import or on first use, they raised the peak
+    RSS of the benchmark, which imports the package afresh many times.
+    """
+    quad = np.arange(10000, dtype=np.int16)
+    pairs = np.zeros((10000, 8), dtype=np.uint8)
+    for j in range(4):
+        pairs[:, 2 * j] = quad // 10 ** (3 - j) % 10 + ord("0")
+    place = np.full(10000, 3, dtype=np.int8)   # within the quad
+    for k in range(1, 4):
+        place -= quad % 10 ** k == 0
+    last = np.where(quad == 0, np.int8(-1), _QUAD_START[:, None] + place)
+    return pairs.view(np.uint64)[:, 0], tuple(last)
+
+
+def _point_words():
+    """(keep, dot): ``keep[w - 1][j]`` masks word w to the digits up to
+    index j, and ``dot[w][p + 1]`` puts the point after digit p (none at
+    -1).  Digit i sits at slot 6 + 2i.
+    """
+    keep = np.zeros((4, 17, 8), dtype=np.uint8)
+    keep[:, :, ::2] = 0xFF * (_QUAD_START[:, None, None] + np.arange(4)
+                              <= np.arange(17)[:, None])
+    dot = np.zeros((5, 17, 8), dtype=np.uint8)
+    after = np.arange(16)
+    dot[(7 + 2 * after) // 8, after + 1, (7 + 2 * after) % 8] = ord(".")
+    return (tuple(keep.view(np.uint64)[..., 0]),
+            tuple(dot.view(np.uint64)[..., 0]))
+
+
+# Word tables are kept as 1-d arrays: indexing one takes numpy's fast path
+_QUAD_START = np.arange(1, 17, 4, dtype=np.int8)   # index of each first digit
+_KEEP, _DOT = _point_words()
+_LEAD = _words(["\0" * 6 + str(d) for d in range(10)])   # D's first digit
+_MINUS = _words(["-"])[0]
+# the first and last words' text by exponent X + 6, for X in -6..16
+_HEAD = _words(["", "", "\0" "0.000", "\0" "0.00", "\0" "0.0", "\0" "0."]
+               + [""] * 17)
+_SUFFIX = _words(["e-06", "e-05"] + [""] * 21)
 
 
 def emit_csv(field, path):
     """Write a distance field as CSV with metadata header comments.
 
-    Floats are rendered with 17 significant digits so parsing the file
-    back reproduces them bit for bit.  Rows are formatted and written in
-    blocks, so memory does not grow with the field; within a block the
-    radius is formatted once per run of equal values.  The write is atomic:
-    the file appears complete or not at all.
+    Floats are rendered as ``'%.17g' % v``, so parsing the file back
+    reproduces them bit for bit.  The text is built with array operations
+    (:func:`_format_floats`), one 8192-row block at a time, so memory does
+    not grow with the field; the bytes equal a row-by-row ``%.17g``
+    writer's.  The write is atomic: the file appears complete or not at
+    all.
     """
     atomic_write(path, _csv_blocks(field))
 
@@ -484,25 +600,116 @@ def emit_csv(field, path):
 def _csv_blocks(field):
     yield "".join(f"# {key}: {field.metadata[key]}\n"
                   for key in sorted(field.metadata)) + _CSV_HEADER + "\n"
+    columns = (field.r, field.theta_deg, field.x0[:, 0], field.x0[:, 1],
+               field.final_distance)
+    status_at = _CSV_FLOATS * _FLOAT_WIDTH
+    block = np.empty((min(len(field), _CSV_BLOCK_ROWS), _CSV_ROW_WIDTH),
+                     dtype=np.uint8)
+    quad_words = _quad_words()
     for lo in range(0, len(field), _CSV_BLOCK_ROWS):
         rows = slice(lo, lo + _CSV_BLOCK_ROWS)
-        tails = map(_csv_tail, zip(
-            field.theta_deg[rows].tolist(),
-            field.x0[rows, 0].tolist(), field.x0[rows, 1].tolist(),
-            field.final_distance[rows].tolist(),
-            [STATUS_STRINGS[code] for code in field.status[rows].tolist()]))
-        # r is formatted once per run of bit-equal values, which in
-        # radius-major order is once per radius; comparing bits keeps -0.0
-        # and NaN in runs of their own
-        r = np.asarray(field.r[rows], dtype=float)
-        bits = r.view(np.int64)
-        cuts = [0, *(np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist(),
-                len(r)]
-        r = r.tolist()
-        for a, b in zip(cuts, cuts[1:]):
-            head = "%.17g," % r[a]
-            yield head
-            yield head.join(itertools.islice(tails, b - a))
+        status = field.status[rows]
+        text = block[:len(status)]
+        for j, column in enumerate(columns):
+            at = j * _FLOAT_WIDTH
+            _format_floats(column[rows], text[:, at:at + _FLOAT_WIDTH],
+                           quad_words)
+            text[:, at + _FLOAT_WIDTH - 1] = ord(",")
+        text[:, status_at:].view(np.uint64)[...] = _STATUS_TEXT[status]
+        for i in range(0, len(text), _CSV_SLICE_ROWS):
+            yield text[i:i + _CSV_SLICE_ROWS].tobytes().translate(
+                None, b"\0").decode("ascii")
+
+
+def _format_floats(values, out, quad_words):
+    """Write ``'%.17g' % v`` for each value into a row of a uint8 array.
+
+    ``out`` is (len(values), _FLOAT_WIDTH) with contiguous rows (a view is
+    fine), and ``quad_words`` is what :func:`_quad_words` returns.  Each value's ASCII text is spread over the slots of its row,
+    NUL wherever the text leaves a slot empty: dropping the NULs leaves
+    the text.  The last slot is always NUL.
+
+    For 1e-6 <= |v| < 1e17 the 17 significant digits D and the decimal
+    exponent X are exact: X is estimated from log10 and fixed from the
+    unrounded product |v| 10^(16-X), which Dekker's two-product gives
+    exactly (10^k is a double for k <= 22), and D is that product rounded
+    half to even, as ``%g`` rounds.  Zeros, non-finite values and the
+    other magnitudes go through ``%`` itself.
+    """
+    values = np.asarray(values, dtype=float)
+    mag = np.abs(values)
+    with np.errstate(invalid="ignore"):
+        exact = (mag >= 1e-6) & (mag < 1e17)
+    mag[~exact] = 1.0   # a placeholder that keeps the arithmetic finite
+    exp = np.clip(np.floor(np.log10(mag)), -6, 16).astype(np.intp)
+    prod, err = _scaled(mag, 16 - exp)
+    shift = _decade_shift(prod, err)
+    moved = np.flatnonzero(shift)
+    if len(moved):   # log10 was one off, near a power of ten
+        exp[moved] = np.clip(exp[moved] + shift[moved], -6, 16)
+        prod[moved], err[moved] = _scaled(mag[moved], 16 - exp[moved])
+        # a value whose exponent lies outside -6..16 (1e-6 itself is just
+        # below 10^-6) is left to the fallback
+        exact[moved] &= _decade_shift(prod[moved], err[moved]) == 0
+    # prod is an even integer (it is >= 2^53), so rounding prod + err half
+    # to even rounds err alone.  D never rounds up to 10^17: that needs a
+    # double within half a 17th-digit unit below a power of ten, and the
+    # powers that have one (1e-14, 1e98, ...) lie outside the range
+    digits = prod.astype(np.int64) + np.rint(err).astype(np.int64)
+
+    # D as the leading digit and four quads of four digits; indices stay
+    # intp, as narrower ones are converted on every lookup
+    high, low = _divmod(digits, 10 ** 8)
+    high, quad2 = _divmod(high, 10000)
+    lead, quad1 = _divmod(high, 10000)
+    quad3, quad4 = _divmod(low, 10000)
+    quads = (quad1, quad2, quad3, quad4)
+    # %g strips trailing zeros after the point, and the point if nothing
+    # follows it; `whole` digits stand before the point (none in
+    # "0.000ddd", whose point is in the first word)
+    whole = np.where(exp >= -4, exp + 1, 1)
+    last = np.maximum(whole - 1, 0).astype(np.int8)   # the last digit kept
+    pairs, quad_last = quad_words
+    for w, quad in enumerate(quads):
+        np.maximum(last, quad_last[w][quad], out=last)
+    last = last.astype(np.intp)
+    dot = np.where(last >= whole, np.maximum(whole, 0), 0)
+
+    words = out.view(np.uint64)
+    words[:, 0] = (_HEAD[exp + 6] | _LEAD[lead] | _DOT[0][dot]
+                   | np.where(values < 0, _MINUS, np.uint64(0)))
+    for w, quad in enumerate(quads, 1):
+        words[:, w] = pairs[quad] & _KEEP[w - 1][last] | _DOT[w][dot]
+    words[:, 5] = _SUFFIX[exp + 6]
+
+    rest = np.flatnonzero(~exact)
+    if len(rest):
+        out[rest] = np.array(["%.17g" % v for v in values[rest].tolist()],
+                             dtype=f"S{_FLOAT_WIDTH}").view(np.uint8).reshape(
+                                 -1, _FLOAT_WIDTH)
+
+
+def _divmod(a, b):
+    """np.divmod(a, b) for integers a >= 0 and b > 0, in about a third of
+    its time: numpy divides by a scalar fast, but not in divmod."""
+    quotient = a // b
+    return quotient, a - quotient * b
+
+
+def _decade_shift(prod, err):
+    """+1 where prod + err >= 1e17, -1 where it is < 1e16, else 0."""
+    above = (prod > 1e17) | ((prod == 1e17) & (err >= 0))
+    below = (prod < 1e16) | ((prod == 1e16) & (err < 0))
+    return above.astype(np.int64) - below
+
+
+def _scaled(a, k):
+    """(p, e) with p = fl(a 10^k) and a 10^k = p + e exactly (Dekker)."""
+    prod = a * _POW10[k]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[k], _POW10_LO[k]
+    err = ((a_hi * b_hi - prod) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return prod, err
 
 
 def load_csv(path):

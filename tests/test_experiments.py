@@ -344,6 +344,54 @@ def test_two_scale_search_refines():
     assert summary == fine.summary()
 
 
+def _same_field(a, b):
+    for name in ("r", "theta_deg", "x0", "final_distance", "status"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.metadata == b.metadata
+
+
+@pytest.mark.parametrize("eta", [0.1, 1e200])
+def test_shared_step_map_gives_the_fields_of_separate_sweeps(eta):
+    config = RunConfig(eta=eta, max_iters=40)
+    objective = _rotated_saddle()
+    coarse_grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 2.0)
+    fine_grid = PolarGrid(0.2, 0.2, 0.1, 10.0, 30.0, 0.01)
+    with np.errstate(over="ignore", invalid="ignore"):
+        alone = [sweep(objective, grid, config, RatioSigma())
+                 for grid in (coarse_grid, fine_grid)]
+        schedule = RatioSigma()
+        with experiments._sharing_step_maps():
+            shared = [sweep(objective, grid, config, schedule)
+                      for grid in (coarse_grid, fine_grid)]
+    for a, b in zip(alone, shared):
+        _same_field(a, b)
+    if eta == 1e200:
+        assert set(shared[1].status_strings()) == {"failed"}
+
+
+def test_two_scale_search_builds_the_step_map_once(monkeypatch):
+    coarse_grid = PolarGrid(0.1, 0.2, 0.1, -180.0, 180.0, 5.0)
+    config = RunConfig(eta=0.1, max_iters=60)
+    args = (_rotated_saddle(), coarse_grid, config, RatioSigma())
+    kwargs = dict(refine_halfwidth_deg=2.0, fine_step_deg=0.5)
+    coarse, fine, summary = two_scale_search(*args, **kwargs)
+    kernel = experiments._advance_cells
+    seen = []
+
+    def recording(b00, b01, b11, x0c, x1c, config, schedule):
+        seen.append((len(x0c), config.max_iters))
+        return kernel(b00, b01, b11, x0c, x1c, config, schedule)
+
+    monkeypatch.setattr(experiments, "_advance_cells", recording)
+    again = two_scale_search(*args, **kwargs)
+    # the unit vectors are stepped once; each grid is checked at the budget
+    assert seen == [(2, 60), (len(coarse), 0), (len(fine), 0)]
+    _same_field(again[0], coarse)
+    _same_field(again[1], fine)
+    assert again[2] == summary
+    assert experiments._step_maps.get() is None
+
+
 def test_rate_check_within_bound():
     obj = QuadraticObjective(np.array([[2.0, 0.3], [0.3, 1.0]]))
     for schedule in (ConstantSigma(0.0), RatioSigma()):
@@ -433,6 +481,117 @@ def test_csv_blocks_match_row_by_row_format(tmp_path):
     path = tmp_path / "field.csv"
     emit_csv(field, str(path))
     assert path.read_text() == "\n".join(lines) + "\n"
+
+
+def _format_column(values):
+    """experiments._format_floats on a 1-d array, as one string a value."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros((len(values), experiments._FLOAT_WIDTH), dtype=np.uint8)
+    experiments._format_floats(values, out, experiments._quad_words())
+    out[:, -1] = ord("\n")   # the last slot is always NUL
+    return out[out != 0].tobytes().decode("ascii").split("\n")[:-1]
+
+
+def _assert_formats_like_percent_g(values):
+    values = np.asarray(values, dtype=float)
+    got = _format_column(values)
+    want = ["%.17g" % v for v in values.tolist()]
+    bad = [(v, g, w) for v, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and bad == []
+
+
+def test_float_formatter_matches_percent_g_on_edges():
+    powers = np.array([10.0 ** j for j in range(-8, 19)]
+                      + [float(10 ** j) for j in range(19)])
+    below, above = np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)
+    i = np.arange(4000)
+    ties = (2 * i + 1) / 4 + 1.25e15   # the 17th digit is a 5, exactly
+    # doubles just below a power of ten whose 17 digits round up to it;
+    # none lies in [1e-6, 1e17), where D is computed
+    carries = np.array([1e-305, 1e-79, 1e-14, 1e98, 1e153])
+    assert all(("%.17g" % v).startswith("1e") for v in carries)
+    # %g's switch points between fixed and exponent form
+    switches = np.array([1e-4, 1e-5, 1e-6, 1e16, 1e17, 9.99995e-5,
+                         9.999999999999999e-5, 0.00010000000000000002,
+                         9.999999999999999e15, 1.0000000000000002e16,
+                         99999999999999984.0, 9.999999999999999e-7])
+    switches = np.concatenate([switches, np.nextafter(switches, 0.0),
+                               np.nextafter(switches, np.inf)])
+    specials = np.array([0.0, -0.0, math.nan, -math.nan, math.inf,
+                         -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.7976931348623157e308])
+    ordinary = np.concatenate([np.arange(-1000.0, 1001.0),
+                               np.arange(-4096, 4097) / 1024.0,
+                               [0.1, 0.2, 0.3, 1 / 3, 2 / 3, math.pi]])
+    for values in (powers, below, above, ties, carries, switches, specials,
+                   ordinary):
+        _assert_formats_like_percent_g(np.concatenate([values, -values]))
+
+
+def test_float_formatter_matches_percent_g_on_random_doubles():
+    rng = np.random.default_rng(20261018)
+    count = 600_000
+    exponents = rng.integers(-8, 19, count)
+    mantissas = rng.uniform(1.0, 10.0, count) * rng.choice([-1.0, 1.0], count)
+    _assert_formats_like_percent_g(mantissas * 10.0 ** exponents)
+    _assert_formats_like_percent_g(rng.uniform(-1.0, 1.0, count))
+    # any bit pattern: every exponent, subnormals, NaN payloads
+    _assert_formats_like_percent_g(
+        rng.integers(-2 ** 63, 2 ** 63, 50_000, dtype=np.int64).view(
+            np.float64))
+
+
+def _row_by_row_csv(field):
+    """The CSV text of a field, one %.17g row at a time."""
+    lines = [f"# {key}: {field.metadata[key]}"
+             for key in sorted(field.metadata)]
+    lines.append(experiments._CSV_HEADER)
+    for i in range(len(field)):
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
+            field.r[i], field.theta_deg[i], field.x0[i, 0], field.x0[i, 1],
+            field.final_distance[i],
+            experiments.STATUS_STRINGS[field.status[i]]))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_of_the_cli_default_fine_field_matches_row_by_row(tmp_path):
+    # the fine field `smoothgd sweep` computes with its defaults: example
+    # 1, mlsgd, 1 degree either side of the coarse argmin at 1e-5 degrees
+    pivot = 13.147999999999996
+    grid = PolarGrid(0.1, 0.1, 0.1, pivot - 1.0, pivot + 1.0, 1e-5)
+    field = sweep(canonical_objective(2, scale=2.0), grid,
+                  RunConfig(eta=0.1, max_iters=100), RatioSigma())
+    assert len(field) == 200_000
+    path = tmp_path / "fine.csv"
+    emit_csv(field, str(path))
+    assert path.read_text() == _row_by_row_csv(field)
+
+
+def test_csv_matches_row_by_row_for_odd_columns(tmp_path):
+    # integer radii, strided column views, and values %g spells in ways
+    # the exact path leaves to the fallback
+    count = 3 * experiments._CSV_BLOCK_ROWS + 5
+    r = np.repeat(np.array([1, 2, 7]), count // 3 + 1)[:count]
+    theta = np.linspace(-180.0, 180.0, count)
+    theta[:4] = [0.0, 90.0, -90.0, 180.0]
+    table = np.zeros((count, 4))
+    table[:, 0] = r * np.cos(np.radians(theta))
+    table[:, 2] = r * np.sin(np.radians(theta))
+    status = (np.arange(count) % 4).astype(np.int8)
+    distances = np.zeros((count, 3))
+    distances[:, 1] = np.geomspace(1e-9, 1e20, count)
+    distances[:7, 1] = [0.0, 5e-324, 1e-6, 9.999999999999999e-7, 1e17,
+                        1e16, 1.5e-300]
+    distances[status == 3, 1] = math.nan
+    distances[[7, 11], 1] = [math.inf, -math.inf]   # failed cells
+    field = DistanceField(r=r, theta_deg=theta, x0=table[:, ::2],
+                          final_distance=distances[:, 1], status=status,
+                          metadata={"kind": "odd columns"})
+    assert not field.x0.flags.c_contiguous
+    assert not field.final_distance.flags.c_contiguous
+    path = tmp_path / "odd.csv"
+    emit_csv(field, str(path))
+    assert path.read_text() == _row_by_row_csv(field)
 
 
 def test_summary_json(tmp_path):
