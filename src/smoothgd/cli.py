@@ -43,6 +43,10 @@ from .experiments import (
 
 __all__ = ["main", "UsageError"]
 
+# Largest canonical --n that analyze accepts.  Each sigma decomposes dense
+# n x n matrices in O(n^3) time; this size still finishes in seconds.
+MAX_ANALYZE_N = 1000
+
 
 class UsageError(Exception):
     """Bad flags or malformed input files; maps to exit code 1."""
@@ -170,8 +174,11 @@ def _cmd_smooth(args):
 
 
 def _cmd_optimize(args):
-    objective = _objective_from(args.objective, args.n, args.c)
     x0 = _read_vector(args.x0)
+    # the canonical matrix is dense n x n: check --n before building it
+    if args.objective == "canonical" and args.n not in (None, len(x0)):
+        raise UsageError(f"--x0 holds {len(x0)} values but --n is {args.n}")
+    objective = _objective_from(args.objective, args.n, args.c)
     if len(x0) != objective.dim:
         raise UsageError(
             f"--x0 holds {len(x0)} values but the objective has "
@@ -221,6 +228,9 @@ def _parse_sigma_list(text):
 
 
 def _cmd_analyze(args):
+    if args.objective == "canonical" and (args.n or 0) > MAX_ANALYZE_N:
+        raise UsageError(
+            f"--n {args.n} is above the {MAX_ANALYZE_N} that analyze allows")
     objective = _objective_from(args.objective, args.n, args.c)
     sigmas = _parse_sigma_list(args.sigma_list)
     b = objective.matrix
@@ -233,19 +243,11 @@ def _cmd_analyze(args):
         "n": objective.dim,
         "degenerate": bool(kernel),
     }
-    per_sigma = []
-    structures = []
-    for s in sigmas:
-        es = eigen_structure(objective, s)
-        structures.append(es)
-        entry = {"sigma": s,
-                 "eigenvalues": [p.value for p in es.pairs]}
-        if es.labels is not None and all(l is not None for l in es.labels):
-            entry["labels"] = [l.value for l in es.labels]
-        else:
-            entry["labels"] = None
-        per_sigma.append(entry)
-    report["per_sigma"] = per_sigma
+    structures = [eigen_structure(objective, s) for s in sigmas]
+    report["per_sigma"] = [
+        {"sigma": s, "eigenvalues": es.values.tolist(),
+         "labels": None if None in es.labels else [l.value for l in es.labels]}
+        for s, es in zip(sigmas, structures)]
 
     if kernel:
         # a flat direction: descent started on it never moves

@@ -442,10 +442,10 @@ def rate_check(objective, trials, eps, schedule, seed=0):
     gradient norm drops to eps, and reports empirical iterations next to
     the worst-case bound for the schedule's sigma bound C.
     """
-    eigvals = [p.value for p in linalg.sym_eigendecompose(objective.matrix)]
-    if min(eigvals) <= 0:
+    eigvals, _ = linalg._eigh_descending(objective.matrix)
+    if eigvals[-1] <= 0:
         raise ValueError("rate_check needs a positive definite matrix")
-    lipschitz = objective.scale * max(eigvals)
+    lipschitz = objective.scale * float(eigvals[0])
     rng = np.random.default_rng(seed)
     reports = []
     for _ in range(trials):

@@ -1,11 +1,13 @@
 """Symmetric eigendecomposition and a dense reference linear solver.
 
-The eigensolver is LAPACK's symmetric route (``numpy.linalg.eigh``) behind
-a descending, sign-fixed interface; the preconditioned eigenproblem
-A(sigma)^(-1) B is reduced to it by one similarity transform.  The linear
-solver is self-contained Gaussian elimination with partial pivoting, an
-independent cross-check for the structured (Fourier / tridiagonal) routes
-in :mod:`smoothgd.smoothing`.
+One eigen route serves everything: LAPACK's ``eigh`` behind a descending,
+sign-fixed helper, which the preconditioned eigenproblem A(sigma)^(-1) B
+reaches by one similarity transform, whole or per invariant block.  Values
+and vectors (columns) stay arrays inside; :class:`EigenPair` lists and
+input checks exist only at the public edge.  The linear solver is
+self-contained Gaussian elimination with partial pivoting, an independent
+cross-check for the structured (Fourier / tridiagonal) routes in
+:mod:`smoothgd.smoothing`.
 """
 
 from dataclasses import dataclass
@@ -21,7 +23,6 @@ __all__ = [
     "sym_eigendecompose",
     "eig_preconditioned_hessian",
     "dense_solve",
-    "sign_normalize",
 ]
 
 
@@ -89,13 +90,16 @@ def _sign_fix_columns(m, tol=1e-10):
     return np.where(big[at] & (m[at] < 0), -m, m)
 
 
-def sign_normalize(v, tol=1e-10):
-    """Flip v so its first entry with magnitude above tol is positive.
+def _eigh_descending(a):
+    """Descending eigenvalues and sign-fixed eigenvector columns; no checks."""
+    values, vectors = np.linalg.eigh(a)
+    return values[::-1].copy(), _sign_fix_columns(vectors[:, ::-1])
 
-    The single-vector case of the column rule the eigen routes apply; a
-    vector with no entry above tol comes back unchanged (as a new array).
-    """
-    return _sign_fix_columns(np.asarray(v, dtype=float)[:, None], tol)[:, 0]
+
+def _pairs(values, vectors):
+    """EigenPair list; each vector is a C-contiguous row of one copy."""
+    return [EigenPair(value, vec)
+            for value, vec in zip(values.tolist(), vectors.T.copy())]
 
 
 def sym_eigendecompose(m):
@@ -110,10 +114,7 @@ def sym_eigendecompose(m):
     """
     a = _as_square(m)
     _require_symmetric(a)
-    values, vectors = np.linalg.eigh(a)
-    rows = _sign_fix_columns(vectors[:, ::-1]).T.copy()
-    return [EigenPair(float(value), vec)
-            for value, vec in zip(values[::-1].tolist(), rows)]
+    return _pairs(*_eigh_descending(a))
 
 
 def _similar_symmetric(op, b):
@@ -127,25 +128,48 @@ def _similar_symmetric(op, b):
 
 
 def _map_back(op, b, values, vectors):
-    """Eigenpairs of A^(-1) B from eigenvectors of its similar form.
+    """Eigenvectors of A^(-1) B from eigenvectors of its similar form.
 
     ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
     Each goes back through A^(-1/2), is renormalized and sign-fixed (all
     columns at once), and must satisfy ||A^(-1) B v - lambda v|| <= 1e-8,
     checked for all pairs with one batched ``solve`` (Thomas or the FFT,
     by size); otherwise :class:`ConvergenceError` is raised with the worst
-    residual.
+    residual.  Returns the mapped vectors as columns.
     """
     mapped = op.inv_sqrt_apply(vectors)
     mapped /= np.linalg.norm(mapped, axis=0)
     cols = _sign_fix_columns(mapped)
     residual = np.max(np.linalg.norm(
-        op.solve(b @ cols) - cols * np.asarray(values), axis=0))
+        op.solve(b @ cols) - cols * values, axis=0))
     if residual > 1e-8:
         raise ConvergenceError(
             "back-transformed eigenpair failed its residual check", residual)
-    return [EigenPair(float(value), vec)
-            for value, vec in zip(values, cols.T.copy())]
+    return cols
+
+
+def _preconditioned(b, sigma, blocks=None):
+    """Eigenvalues (descending) and eigenvectors (columns) of A^(-1) B.
+
+    A^(-1/2) B A^(-1/2) is decomposed whole, or per block of ``blocks``
+    (orthonormal row bases of invariant subspaces spanning the space); ties
+    keep block order.  ``b`` must already be a symmetric float matrix.
+    """
+    op = smoothing.CirculantSmoother(b.shape[0], sigma)
+    sym = _similar_symmetric(op, b)
+    if blocks is None:
+        values, vectors = _eigh_descending(sym)
+    else:
+        values, vectors = [], []
+        for block in blocks:
+            restricted = block @ sym @ block.T
+            small = _eigh_descending(0.5 * (restricted + restricted.T))
+            values.append(small[0])
+            vectors.append(block.T @ small[1])
+        values, vectors = np.concatenate(values), np.hstack(vectors)
+    vectors = _map_back(op, b, values, vectors)
+    order = np.argsort(-values, kind="stable")
+    return values[order], vectors[:, order]
 
 
 def eig_preconditioned_hessian(b, sigma):
@@ -160,10 +184,7 @@ def eig_preconditioned_hessian(b, sigma):
     """
     b = _as_square(b, "hessian")
     _require_symmetric(b, "hessian")
-    op = smoothing.CirculantSmoother(b.shape[0], sigma)
-    pairs = sym_eigendecompose(_similar_symmetric(op, b))
-    return _map_back(op, b, [p.value for p in pairs],
-                     np.column_stack([p.vector for p in pairs]))
+    return _pairs(*_preconditioned(b, sigma))
 
 
 def dense_solve(m, y):

@@ -27,7 +27,6 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, optimizers
-from .linalg import sign_normalize
 from .smoothing import CirculantSmoother
 
 __all__ = [
@@ -104,8 +103,8 @@ class QuadraticObjective:
 
     def gradient_lipschitz(self):
         """scale * spectral radius of the matrix."""
-        pairs = linalg.sym_eigendecompose(self.matrix)
-        return self.scale * max(abs(p.value) for p in pairs)
+        values, _ = linalg._eigh_descending(self.matrix)
+        return self.scale * float(np.max(np.abs(values)))
 
     def describe(self):
         kind = "canonical" if self.is_canonical else "matrix"
@@ -163,29 +162,36 @@ def _classify(values, vectors, tol):
     return labels, (anti, sym, last)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenStructure:
     """Classified eigenpairs of A(sigma)^(-1) B, descending by eigenvalue.
 
-    ``labels[i]`` is the :class:`ModeClass` of ``pairs[i]`` or None when the
-    vector fits no pattern (possible for non-canonical matrices, and for the
-    degenerate sigma = 0 limit where the symmetric family collapses).
+    ``values[i]`` is the eigenvalue of the unit eigenvector ``columns[:, i]``
+    and ``labels[i]`` its :class:`ModeClass`, or None when the vector fits
+    no pattern (possible for non-canonical matrices, and for the degenerate
+    sigma = 0 limit where the symmetric family collapses).
     """
 
     sigma: float
-    pairs: tuple
+    values: np.ndarray
+    columns: np.ndarray
     labels: tuple
+
+    @functools.cached_property
+    def pairs(self):
+        """The eigenpairs as a tuple of :class:`~smoothgd.linalg.EigenPair`."""
+        return tuple(linalg._pairs(self.values, self.columns))
 
     def count(self, label):
         return sum(1 for item in self.labels if item is label)
 
     def vectors(self, label):
-        cols = [p.vector for p, l in zip(self.pairs, self.labels) if l is label]
-        return np.array(cols) if cols else np.empty((0, self.dim))
+        """The eigenvectors of one family, one per row."""
+        return self.columns[:, [l is label for l in self.labels]].T
 
     @property
     def dim(self):
-        return len(self.pairs[0].vector)
+        return self.columns.shape[0]
 
     def span(self, label):
         """Orthonormal basis (rows) of the span of one family."""
@@ -264,13 +270,10 @@ def eigen_structure(objective, sigma, tol=1e-8):
 
     The index reflection commutes with the smoothing operator (a circulant
     is unchanged by reversing the ring) and with the canonical matrix, so
-    for canonical objectives the similar symmetric matrix is decomposed
-    blockwise on the reflection-even and reflection-odd subspaces (the
-    cached :func:`canonical_attraction_basis` split), and the vectors of
-    both blocks are mapped back and checked in one batch.  That keeps
-    eigenvectors of nearby eigenvalues from different families from mixing,
-    no matter how small the gap.  General matrices go through the plain
-    route.
+    for canonical objectives the decomposition runs per block of the cached
+    :func:`canonical_attraction_basis` split, which keeps eigenvectors of
+    nearby eigenvalues from different families from mixing, no matter how
+    small the gap.  General matrices are decomposed whole.
 
     All vectors are classified at once from three residuals per vector,
     max |h + reversed h|, max |h - reversed h| over the head h = v[:-1],
@@ -282,15 +285,13 @@ def eigen_structure(objective, sigma, tol=1e-8):
     sigma = float(sigma)
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    b = objective.matrix
     canonical = objective.is_canonical
+    blocks = None
     if canonical:
-        pairs = _reflection_adapted_pairs(b, sigma)
-    else:
-        pairs = linalg.eig_preconditioned_hessian(b, sigma)
-    values = [p.value for p in pairs]
-    labels, residuals = _classify(
-        values, np.array([p.vector for p in pairs]), tol)
+        split = canonical_attraction_basis(objective.dim)
+        blocks = split.antisymmetric.rows, split.symmetric.rows
+    values, columns = linalg._preconditioned(objective.matrix, sigma, blocks)
+    labels, residuals = _classify(values, columns.T, tol)
     if canonical and sigma > 0.0:
         n = objective.dim
         expected = {
@@ -301,43 +302,15 @@ def eigen_structure(objective, sigma, tol=1e-8):
         got = {m: labels.count(m) for m in expected}
         if None in labels or got != expected:
             # value -> (anti, sym, last) residuals, in pair order
-            rows = list(zip(values, zip(*(r.tolist() for r in residuals))))
+            rows = list(zip(values.tolist(),
+                            zip(*(r.tolist() for r in residuals))))
             if None in labels:
                 raise ClassificationError(
                     "eigenvectors fit neither symmetry pattern",
                     {v: r for (v, r), l in zip(rows, labels) if l is None})
             raise ClassificationError(
                 f"family counts {got} differ from {expected}", dict(rows))
-    return EigenStructure(sigma, tuple(pairs), tuple(labels))
-
-
-def _reflection_adapted_pairs(b, sigma):
-    """Eigenpairs of A^(-1) B computed per reflection-parity block.
-
-    Builds the similar symmetric matrix A^(-1/2) B A^(-1/2), restricts it
-    to the reflection-odd and reflection-even subspaces (both invariant
-    when B is canonical), decomposes each restriction on its own, and maps
-    the vectors of both blocks back through A^(-1/2) in one batch, which
-    preserves parity.  Each pair is verified to satisfy ||A^(-1) B v -
-    lambda v|| <= 1e-8.  Pairs come sorted by descending eigenvalue, ties
-    with the odd block first.
-    """
-    n = b.shape[0]
-    op = CirculantSmoother(n, sigma)
-    sym = linalg._similar_symmetric(op, b)
-    split = canonical_attraction_basis(n)
-    values, vectors = [], []
-    for block in (split.antisymmetric.rows, split.symmetric.rows):
-        if block.shape[0] == 0:
-            continue
-        restricted = block @ sym @ block.T
-        restricted = 0.5 * (restricted + restricted.T)
-        small = linalg.sym_eigendecompose(restricted)
-        values += [p.value for p in small]
-        vectors.append(block.T @ np.column_stack([p.vector for p in small]))
-    pairs = linalg._map_back(op, b, values, np.hstack(vectors))
-    pairs.sort(key=lambda p: -p.value)
-    return pairs
+    return EigenStructure(sigma, values, columns, tuple(labels))
 
 
 def canonical_attraction_basis(n):
@@ -439,33 +412,33 @@ def general_attraction_basis(objective, tol=1e-8):
     b = objective.matrix
     n = objective.dim
     norm = np.linalg.norm(b)
-    pairs = linalg.sym_eigendecompose(b)
-    if any(abs(p.value) <= 1e-10 * norm for p in pairs):
+    values, vectors = linalg._eigh_descending(b)
+    if np.any(np.abs(values) <= 1e-10 * norm):
         raise ValueError(
             "matrix has a zero eigenvalue; use kernel_direction_fixed for "
             "degenerate saddles")
-    positive = [p for p in pairs if p.value > 0]
+    # positive eigenvalues come first in descending order
+    count = int(np.count_nonzero(values > 0))
+    positive = values[:count].tolist()
+    rows = vectors[:, :count].T.copy()
     spaces = laplacian_eigenspaces(n)
     accepted = []
     start = 0
     gap = 1e-9 * norm
-    while start < len(positive):
+    while start < count:
         stop = start + 1
-        while (stop < len(positive)
-               and abs(positive[stop].value - positive[stop - 1].value) <= gap):
+        while stop < count and positive[stop - 1] - positive[stop] <= gap:
             stop += 1
-        cluster = positive[start:stop]
-        mean = float(np.mean([p.value for p in cluster]))
-        if len(cluster) == 1:
-            p = cluster[0].vector
+        mean = float(np.mean(positive[start:stop]))
+        if stop - start == 1:
+            p = rows[start]
             lp = ring_second_difference(p)
             if np.linalg.norm(lp - (p @ lp) * p) <= tol:
                 accepted.append(p)
         else:
-            basis = np.column_stack([p.vector for p in cluster])
+            basis = np.ascontiguousarray(rows[start:stop].T)
             for _, lap_rows in spaces:
-                proj = lap_rows.T @ (lap_rows @ basis)
-                residual_map = basis - proj
+                residual_map = basis - lap_rows.T @ (lap_rows @ basis)
                 for alpha in _kernel_coefficients(residual_map, tol):
                     cand = basis @ alpha
                     cand /= np.linalg.norm(cand)
@@ -504,12 +477,11 @@ def negative_mode_overlap(objective, sigma1, sigma2):
     """
     vecs = []
     for sigma in (sigma1, sigma2):
-        pairs = linalg.eig_preconditioned_hessian(objective.matrix, sigma)
-        last = pairs[-1]
-        if last.value >= 0:
+        values, vectors = linalg._preconditioned(objective.matrix, sigma)
+        if values[-1] >= 0:
             raise ValueError(
                 "objective has no negative-curvature mode to compare")
-        vecs.append(sign_normalize(last.vector))
+        vecs.append(vectors[:, -1])   # already sign-fixed by _map_back
     return float(vecs[0] @ vecs[1])
 
 
@@ -543,9 +515,10 @@ def principal_angle(a, b):
 
     Zero means the spans coincide.  The cosine of the largest angle is the
     smallest singular value of the overlap ra rb^T, and its sine is the
-    spectral norm of the part of ra outside span(rb); the angle is taken
-    from both with atan2, so it stays accurate down to round-off where an
-    arccos of the cosine alone bottoms out near 1e-8.
+    spectral norm of the part r of ra outside span(rb), the square root of
+    the largest eigenvalue of the small Gram matrix r r^T; the angle is
+    taken from both with atan2, so it stays accurate down to round-off
+    where an arccos of the cosine alone bottoms out near 1e-8.
     """
     ra, rb = a.rows, b.rows
     if ra.shape[0] != rb.shape[0]:
@@ -554,6 +527,7 @@ def principal_angle(a, b):
     if ra.shape[0] == 0:
         return 0.0
     overlap = ra @ rb.T
-    sine = np.linalg.norm(ra - overlap @ rb, 2)
+    outside = ra - overlap @ rb
+    sine = math.sqrt(max(np.linalg.eigvalsh(outside @ outside.T)[-1], 0.0))
     cosine = np.linalg.svd(overlap, compute_uv=False)[-1]
     return float(np.arctan2(sine, cosine))

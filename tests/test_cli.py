@@ -326,6 +326,29 @@ def test_oversized_sweep_grids_are_usage_errors(args, capsys, monkeypatch):
     assert "usage error" in err and "cells" in err
 
 
+def _no_dense_build(*args, **kwargs):
+    raise AssertionError("the canonical matrix was built")
+
+
+def test_optimize_checks_n_against_x0_before_building(tmp_path, capsys,
+                                                      monkeypatch):
+    x0 = tmp_path / "x0.txt"
+    write_vector(x0, [0.5])
+    monkeypatch.setattr(cli, "canonical_objective", _no_dense_build)
+    assert run_cli(["optimize", "--objective", "canonical", "--n", "30000",
+                    "--x0", str(x0)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "--x0 holds 1 values" in err
+
+
+@pytest.mark.parametrize("n", [cli.MAX_ANALYZE_N + 1, 30000])
+def test_analyze_caps_canonical_n(n, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "canonical_objective", _no_dense_build)
+    assert run_cli(["analyze", "--n", str(n)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and str(cli.MAX_ANALYZE_N) in err
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as info:
         run_cli(["--version"])

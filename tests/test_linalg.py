@@ -11,7 +11,6 @@ from smoothgd.linalg import (
     SingularMatrixError,
     dense_solve,
     eig_preconditioned_hessian,
-    sign_normalize,
     sym_eigendecompose,
 )
 from smoothgd.smoothing import CirculantSmoother
@@ -70,14 +69,15 @@ def test_input_validation():
 
 
 def test_sign_normalize():
-    v = np.array([-0.8, 0.6])
-    np.testing.assert_array_equal(sign_normalize(v), [0.8, -0.6])
-    np.testing.assert_array_equal(sign_normalize(-v), [0.8, -0.6])
+    fix = linalg._sign_fix_columns
+    v = np.array([[-0.8], [0.6]])
+    np.testing.assert_array_equal(fix(v), [[0.8], [-0.6]])
+    np.testing.assert_array_equal(fix(-v), [[0.8], [-0.6]])
     # tiny leading entries are skipped when fixing the sign
-    w = np.array([1e-14, -1.0])
-    assert sign_normalize(w)[1] == 1.0
-    z = np.zeros(2)
-    np.testing.assert_array_equal(sign_normalize(z), z)
+    w = np.array([[1e-14], [-1.0]])
+    assert fix(w)[1, 0] == 1.0
+    z = np.zeros((2, 1))
+    np.testing.assert_array_equal(fix(z), z)
 
 
 def _sign_normalize_loop(v, tol=1e-10):
@@ -104,7 +104,6 @@ def test_column_sign_fix_matches_the_per_vector_rule(rng):
     for j in range(m.shape[1]):
         expect = _sign_normalize_loop(m[:, j].copy(), tol)
         assert got[:, j].tobytes() == expect.tobytes()   # signs of zeros too
-        assert sign_normalize(m[:, j], tol).tobytes() == expect.tobytes()
     np.testing.assert_array_equal(m[:, 1], cols[1])   # input untouched
 
 
@@ -156,10 +155,10 @@ def test_map_back_rejects_a_perturbed_eigenvector(rng):
     pairs = sym_eigendecompose(linalg._similar_symmetric(op, b))
     values = [p.value for p in pairs]
     vectors = np.column_stack([p.vector for p in pairs])
-    assert len(linalg._map_back(op, b, values, vectors)) == 6
+    assert linalg._map_back(op, b, np.array(values), vectors).shape == (6, 6)
     vectors[:, 3] += 1e-4 * vectors[:, 0]
     with pytest.raises(ConvergenceError) as info:
-        linalg._map_back(op, b, values, vectors)
+        linalg._map_back(op, b, np.array(values), vectors)
     assert info.value.residual > 1e-8
 
 

@@ -308,7 +308,7 @@ def test_array_classification_at_the_tolerance():
 
 def test_classification_error_payload():
     obj = canonical_objective(6)
-    pairs = saddle._reflection_adapted_pairs(obj.matrix, 1.0)
+    pairs = eigen_structure(obj, 1.0).pairs
     payload = {p.value: _pattern_residuals_one(p.vector) for p in pairs}
     with pytest.raises(ClassificationError, match="fit neither") as info:
         eigen_structure(obj, 1.0, tol=-1.0)     # nothing classifies
