@@ -15,9 +15,10 @@ the run configuration alone:
 * **Step kernel.**  Otherwise all grid cells advance together as flat
   arrays, one schedule step at a time; termination checks mirror
   :func:`smoothgd.optimizers.run` cell by cell, in the same order
-  (stationarity, step budget, escape).  Every arithmetic operation is
-  elementwise across cells, so results do not depend on how the grid is
-  chunked across threads.
+  (stationarity, step budget, escape).  Only the cells still running are
+  computed on, and a step on which no rule can fire skips the per-cell
+  checks.  Every arithmetic operation is elementwise across cells, so
+  results do not depend on how the grid is chunked across threads.
 
 The kernel is the only code that takes a step, and it is the reference the
 tests compare the step-map route with.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg
-from .optimizers import (RunConfig, RunStatus, run,
+from .optimizers import (RunConfig, RunStatus, _is_count, run,
                          stationarity_iteration_bound)
 from .smoothing import solve_smoothed_pair
 
@@ -151,9 +152,14 @@ class DistanceField:
             raise ValueError("field columns have inconsistent lengths")
         expected0 = self.r * np.cos(np.radians(self.theta_deg))
         expected1 = self.r * np.sin(np.radians(self.theta_deg))
-        if n and (np.max(np.abs(self.x0[:, 0] - expected0)) > 1e-12
-                  or np.max(np.abs(self.x0[:, 1] - expected1)) > 1e-12):
+        # written so that a NaN anywhere fails the check
+        if n and not (np.max(np.abs(self.x0[:, 0] - expected0)) <= 1e-12
+                      and np.max(np.abs(self.x0[:, 1] - expected1)) <= 1e-12):
             raise ValueError("x0 does not match its polar coordinates")
+        if n and not (0 <= np.min(self.status)
+                      and np.max(self.status) < len(STATUS_STRINGS)):
+            raise ValueError(
+                f"status codes must lie in 0..{len(STATUS_STRINGS) - 1}")
         bad = ~np.isfinite(self.final_distance) & (self.status != _FAILED)
         if np.any(bad):
             raise ValueError("non-finite distance on a non-failed cell")
@@ -200,43 +206,68 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
     optimizers.run: at each k the order is stationarity check, budget
     check, escape check, then one smoothed step shared by every still
     active cell.  A sigma that run() would reject raises ValueError.
+
+    Only live cells are computed on: ``live`` indexes them once a cell
+    has stopped.  A step where every live q = |g|^2 is finite and above
+    eps^2, and no live |x|^2 exceeds the escape radius squared, stops no
+    cell (a finite q needs a finite g, and so a finite x), and it skips
+    the per-cell masks.  Any other step runs them and drops the cells
+    that stopped from the index.
     """
     x0 = x0c.copy()
     x1 = x1c.copy()
     status = np.full(len(x0), _ACTIVE, dtype=np.int8)
+    if not len(status):
+        return x0, x1, status
     eps2 = config.eps_stationary * config.eps_stationary
     radius = config.escape_radius
     radius2 = radius * radius if math.isfinite(radius) else math.inf
+    escapes = radius2 < math.inf
     eta = config.eta
+    live = None   # indices of the cells still running, None while all are
+    y0, y1 = x0, x1   # their points
     for k in range(config.max_iters + 1):
-        active = status == _ACTIVE
-        if not np.any(active):
-            break
-        g0 = b00 * x0 + b01 * x1
-        g1 = b01 * x0 + b11 * x1
-        finite = (np.isfinite(g0) & np.isfinite(g1)
-                  & np.isfinite(x0) & np.isfinite(x1))
-        stationary = active & finite & (g0 * g0 + g1 * g1 <= eps2)
-        status[stationary] = _STATIONARY
-        active &= ~stationary
-        if k == config.max_iters:
-            status[active & finite] = _MAX_ITERS
-            status[active & ~finite] = _FAILED
-            break
-        broken = active & ~finite
-        status[broken] = _FAILED
-        active &= ~broken
-        escaped = active & (x0 * x0 + x1 * x1 > radius2)
-        status[escaped] = _ESCAPED
-        active &= ~escaped
-        if not np.any(active):
+        budget = k == config.max_iters
+        g0 = b00 * y0 + b01 * y1
+        g1 = b01 * y0 + b11 * y1
+        q = g0 * g0
+        q += g1 * g1
+        if not (q.min() > eps2 and q.max() < math.inf and (
+                budget or not escapes
+                or (y0 * y0 + y1 * y1).max() <= radius2)):
+            finite = (np.isfinite(g0) & np.isfinite(g1)
+                      & np.isfinite(y0) & np.isfinite(y1))
+            code = np.where(finite & (q <= eps2), np.int8(_STATIONARY),
+                            np.int8(_MAX_ITERS if budget else _ACTIVE))
+            code[~finite] = _FAILED
+            if escapes:   # no cell is active at the budget
+                code[(code == _ACTIVE) & (y0 * y0 + y1 * y1 > radius2)] = (
+                    _ESCAPED)
+            stop = code != _ACTIVE
+            if stop.any():
+                at = np.flatnonzero(stop) if live is None else live[stop]
+                status[at] = code[stop]
+                x0[at] = y0[stop]
+                x1[at] = y1[stop]
+                if stop.all():   # always so at the budget
+                    return x0, x1, status
+                keep = ~stop
+                live = np.flatnonzero(keep) if live is None else live[keep]
+                y0, y1, g0, g1 = y0[keep], y1[keep], g0[keep], g1[keep]
+        elif budget:
             break
         sigma = float(schedule(k))
         if not (math.isfinite(sigma) and sigma >= 0.0):
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         s0, s1 = solve_smoothed_pair(sigma, g0, g1)
-        x0 = np.where(active, x0 - eta * s0, x0)
-        x1 = np.where(active, x1 - eta * s1, x1)
+        y0 = y0 - eta * s0
+        y1 = y1 - eta * s1
+    if live is None:
+        status[:] = _MAX_ITERS
+        return y0, y1, status
+    status[live] = _MAX_ITERS
+    x0[live] = y0
+    x1[live] = y1
     return x0, x1, status
 
 
@@ -269,8 +300,7 @@ def sweep(objective, grid, config, schedule, threads=None):
     """
     if objective.dim != 2:
         raise ValueError(f"sweeps are 2-d only, got dim {objective.dim}")
-    if threads is not None and (not isinstance(threads, (int, np.integer))
-                                or threads < 1):
+    if threads is not None and (not _is_count(threads) or threads < 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     if config.record_trajectory:
         raise ValueError("trajectory recording is not supported in sweeps")
@@ -279,8 +309,11 @@ def sweep(objective, grid, config, schedule, threads=None):
     r = np.repeat(r_vals, len(t_vals))
     theta = np.tile(t_vals, len(r_vals))
     x0 = np.empty((len(r), 2))
-    x0[:, 0] = r * np.cos(np.radians(theta))
-    x0[:, 1] = r * np.sin(np.radians(theta))
+    # cos and sin once per angle; the products are r cos(theta) cell by cell
+    polar = x0.reshape(len(r_vals), len(t_vals), 2)
+    radians = np.radians(t_vals)
+    np.multiply(r_vals[:, None], np.cos(radians), out=polar[..., 0])
+    np.multiply(r_vals[:, None], np.sin(radians), out=polar[..., 1])
     scale = objective.scale
     b = (scale * objective.matrix[0, 0], scale * objective.matrix[0, 1],
          scale * objective.matrix[1, 1])
@@ -612,13 +645,28 @@ def _csv_blocks(field):
         text = block[:len(status)]
         for j, column in enumerate(columns):
             at = j * _FLOAT_WIDTH
-            _format_floats(column[rows], text[:, at:at + _FLOAT_WIDTH],
-                           quad_words)
+            format_column = _format_runs if j == 0 else _format_floats
+            format_column(column[rows], text[:, at:at + _FLOAT_WIDTH],
+                          quad_words)
             text[:, at + _FLOAT_WIDTH - 1] = ord(",")
         text[:, status_at:].view(np.uint64)[...] = _STATUS_TEXT[status]
         for i in range(0, len(text), _CSV_SLICE_ROWS):
             yield text[i:i + _CSV_SLICE_ROWS].tobytes().translate(
                 None, b"\0").decode("ascii")
+
+
+def _format_runs(values, out, quad_words):
+    """:func:`_format_floats` for a column of runs of bit-equal values,
+    such as the radii of a radius-major grid: each run is formatted once.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits = values.view(np.uint64)
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    starts = np.concatenate([[0], starts])
+    text = np.empty((len(starts), _FLOAT_WIDTH), dtype=np.uint8)
+    _format_floats(values[starts], text, quad_words)
+    out.view(np.uint64)[...] = np.repeat(
+        text.view(np.uint64), np.diff(starts, append=len(values)), axis=0)
 
 
 def _format_floats(values, out, quad_words):

@@ -50,6 +50,12 @@ class NumericError(ArithmeticError):
         self.trajectory = trajectory
 
 
+def _is_count(value):
+    """True for an int or NumPy integer that is not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, (bool, np.bool_)))
+
+
 class ConstantSigma:
     """sigma(k) = sigma0 for every k.  sigma0 = 0 reduces to plain GD."""
 
@@ -90,7 +96,7 @@ class PlateauSigma:
     """Ratio schedule frozen after step k0: sigma(k) = (min(k,k0)+2)/(min(k,k0)+3)."""
 
     def __init__(self, k0):
-        if not isinstance(k0, (int, np.integer)) or k0 < 0:
+        if not _is_count(k0) or k0 < 0:
             raise ValueError(f"k0 must be a non-negative integer, got {k0!r}")
         self.k0 = int(k0)
 
@@ -123,8 +129,7 @@ class RunConfig:
     def __post_init__(self):
         if not (math.isfinite(self.eta) and self.eta > 0.0):
             raise ValueError(f"eta must be finite and > 0, got {self.eta}")
-        if (not isinstance(self.max_iters, (int, np.integer))
-                or self.max_iters < 0):
+        if not _is_count(self.max_iters) or self.max_iters < 0:
             raise ValueError(
                 f"max_iters must be an integer >= 0, got {self.max_iters!r}")
         if math.isnan(self.eps_stationary) or self.eps_stationary < 0.0:

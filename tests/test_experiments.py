@@ -257,10 +257,10 @@ def test_sweep_thread_count_irrelevant(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-@pytest.mark.parametrize("threads", [0, -3, 2.5])
+@pytest.mark.parametrize("threads", [0, -3, 2.5, True, np.True_])
 def test_sweep_rejects_bad_thread_count(threads):
     grid = PolarGrid(0.1, 0.2, 0.1, -180.0, 180.0, 90.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="threads must be an integer"):
         sweep(SWAP, grid, RunConfig(max_iters=5), RatioSigma(), threads=threads)
 
 
@@ -314,6 +314,43 @@ def test_field_validation():
         DistanceField(r=r, theta_deg=theta, x0=x0,
                       final_distance=np.array([1.0]),
                       status=np.array([0], dtype=np.int8))
+
+
+def _polar_columns(r, theta):
+    theta = np.asarray(theta, dtype=float)
+    return np.column_stack([r * np.cos(np.radians(theta)),
+                            r * np.sin(np.radians(theta))])
+
+
+@pytest.mark.parametrize("column", ["r", "theta_deg", "x0"])
+def test_field_validation_rejects_nan_coordinates(column):
+    columns = dict(r=np.array([0.1, 0.2]), theta_deg=np.array([0.0, 30.0]))
+    columns["x0"] = _polar_columns(columns["r"], columns["theta_deg"])
+    columns[column] = columns[column].copy()
+    columns[column][1] = math.nan
+    with pytest.raises(ValueError, match="polar"):
+        DistanceField(final_distance=np.array([0.5, 0.5]),
+                      status=np.array([1, 1], dtype=np.int8), **columns)
+
+
+@pytest.mark.parametrize("code", [-1, 4, 9])
+def test_field_validation_rejects_unknown_status_codes(code):
+    r = np.array([0.1, 0.2])
+    with pytest.raises(ValueError, match="status codes"):
+        DistanceField(r=r, theta_deg=np.zeros(2), x0=_polar_columns(r, [0, 0]),
+                      final_distance=np.array([0.5, 0.5]),
+                      status=np.array([1, code], dtype=np.int8))
+
+
+@pytest.mark.parametrize("row", ["nan,0,nan,nan,0.5,max_iters",
+                                 "0.5,nan,0.5,0,0.5,max_iters",
+                                 "0.5,0,nan,0,0.5,max_iters"])
+def test_load_csv_rejects_nan_coordinates(tmp_path, row):
+    path = tmp_path / "nan.csv"
+    path.write_text("# eta: 0.1\nr,theta_deg,x0_0,x0_1,final_distance,status\n"
+                    "0.5,0,0.5,0,0.25,max_iters\n" + row + "\n")
+    with pytest.raises(ValueError, match="polar"):
+        load_csv(str(path))
 
 
 def test_summary_and_threshold():
@@ -448,6 +485,19 @@ def test_csv_round_trip_with_nan(tmp_path):
     assert set(loaded.status_strings()) == {"failed"}
 
 
+def _unchecked_field(r, theta, status, distance, metadata):
+    """A DistanceField built past its checks, which NaN radii fail; the
+    writer formats whatever columns it is given."""
+    field = object.__new__(DistanceField)
+    with np.errstate(invalid="ignore"):   # a signalling NaN radius
+        x0 = _polar_columns(r, theta)
+    columns = dict(r=r, theta_deg=theta, x0=x0, final_distance=distance,
+                   status=status, metadata=metadata)
+    for name, value in columns.items():
+        object.__setattr__(field, name, value)
+    return field
+
+
 def test_csv_blocks_match_row_by_row_format(tmp_path):
     grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 0.04)
     field = sweep(SWAP, grid, RunConfig(eta=0.1, max_iters=5), RatioSigma())
@@ -456,31 +506,33 @@ def test_csv_blocks_match_row_by_row_format(tmp_path):
     assert len(np.unique(field.r)) == 3 and len(field) > 3 * block
     assert all(field.r[k * block - 1] == field.r[k * block] for k in (1, 2, 3))
     # then runs of radii that compare equal or print alike but differ in
-    # bits: -0.0 and 0.0, NaN and -NaN; and a radius seen before
-    extra = np.repeat([-0.0, 0.0, math.nan, -math.nan, 0.3, -0.0], 3)
-    theta = np.linspace(-90.0, 90.0, len(extra))
+    # bits: -0.0 and 0.0, NaNs with other payloads; and a radius seen before
+    payloads = np.array([0x7FF8000000000001, 0xFFF8000000000123,
+                         0x7FF0000000000001], dtype=np.uint64).view(float)
+    extra = np.repeat(np.concatenate([[-0.0, 0.0, math.nan, -math.nan],
+                                      payloads, [0.3, -0.0]]), 3)
     r = np.concatenate([field.r, extra])
-    theta = np.concatenate([field.theta_deg, theta])
-    x0 = np.column_stack([r * np.cos(np.radians(theta)),
-                          r * np.sin(np.radians(theta))])
-    x0[:len(field)] = field.x0
+    theta = np.concatenate([field.theta_deg,
+                            np.linspace(-90.0, 90.0, len(extra))])
     status = (np.arange(len(r)) % 4).astype(np.int8)
     distance = np.concatenate([field.final_distance, np.ones(len(extra))])
     distance = np.where(status == 3, math.nan, distance)
-    field = DistanceField(r=r, theta_deg=theta, x0=x0,
-                          final_distance=distance, status=status,
-                          metadata=field.metadata)
-    lines = [f"# {key}: {field.metadata[key]}"
-             for key in sorted(field.metadata)]
-    lines.append("r,theta_deg,x0_0,x0_1,final_distance,status")
-    for i in range(len(field)):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
-            field.r[i], field.theta_deg[i], field.x0[i, 0], field.x0[i, 1],
-            field.final_distance[i],
-            experiments.STATUS_STRINGS[field.status[i]]))
-    path = tmp_path / "field.csv"
-    emit_csv(field, str(path))
-    assert path.read_text() == "\n".join(lines) + "\n"
+    mixed = _unchecked_field(r, theta, status, distance, field.metadata)
+    assert mixed.x0[:len(field)].tobytes() == field.x0.tobytes()
+    # every radius different, across a block boundary; and a single row
+    count = block + 5
+    distinct = _unchecked_field(np.linspace(0.1, 2.0, count),
+                                np.linspace(-180.0, 180.0, count),
+                                status[:count], distance[:count],
+                                {"kind": "distinct radii"})
+    single = _unchecked_field(np.array([0.7]), np.array([12.5]),
+                              np.array([1], dtype=np.int8), np.array([0.25]),
+                              {"kind": "one row"})
+    for name, case in (("mixed", mixed), ("distinct", distinct),
+                       ("single", single)):
+        path = tmp_path / f"{name}.csv"
+        emit_csv(case, str(path))
+        assert path.read_text() == _row_by_row_csv(case), name
 
 
 def _format_column(values):

@@ -64,6 +64,14 @@ def test_config_validation():
         RunConfig(eta=0.1, max_iters=10, escape_radius=0.0)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+def test_counts_reject_booleans(flag):
+    with pytest.raises(ValueError, match="max_iters must be an integer"):
+        RunConfig(eta=0.1, max_iters=flag)
+    with pytest.raises(ValueError, match="k0 must be a non-negative integer"):
+        PlateauSigma(flag)
+
+
 def test_gd_contraction_exact():
     # plain descent on the stable axis of diag(2, -2): x_k = 0.8^k x_0
     objective = canonical_objective(2, scale=2.0)
