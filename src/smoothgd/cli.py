@@ -26,6 +26,7 @@ from .optimizers import (
 from .saddle import (
     ModeClass,
     QuadraticObjective,
+    _sharing_decompositions,
     canonical_attraction_basis,
     canonical_objective,
     eigen_structure,
@@ -243,11 +244,26 @@ def _cmd_analyze(args):
         "n": objective.dim,
         "degenerate": bool(kernel),
     }
-    structures = [eigen_structure(objective, s) for s in sigmas]
-    report["per_sigma"] = [
-        {"sigma": s, "eigenvalues": es.values.tolist(),
-         "labels": None if None in es.labels else [l.value for l in es.labels]}
-        for s, es in zip(sigmas, structures)]
+    # the canonical attraction basis each sigma's antisymmetric span is
+    # compared with; a canonical objective is never degenerate
+    canonical = None
+    if objective.is_canonical:
+        canonical = canonical_attraction_basis(objective.dim).antisymmetric
+    # one entry and principal angle per sigma as its structure arrives, so
+    # no sigma's n x n eigenvectors outlive its turn
+    report["per_sigma"] = []
+    worst = 0.0
+    with _sharing_decompositions(objective, sigmas):
+        for s in sigmas:
+            es = eigen_structure(objective, s)
+            report["per_sigma"].append(
+                {"sigma": s, "eigenvalues": es.values.tolist(),
+                 "labels": (None if None in es.labels
+                            else [l.value for l in es.labels])})
+            if canonical is not None and s > 0:
+                anti = es.span(ModeClass.ANTISYMMETRIC_SINE)
+                worst = max(worst, principal_angle(anti, canonical))
+            del es
 
     if kernel:
         # a flat direction: descent started on it never moves
@@ -259,14 +275,8 @@ def _cmd_analyze(args):
         report["w_basis"] = None
         report["sigma_independent"] = None
     else:
-        if objective.is_canonical:
-            basis = canonical_attraction_basis(objective.dim).antisymmetric
-            worst = 0.0
-            for s, es in zip(sigmas, structures):
-                if s <= 0:
-                    continue
-                anti = es.span(ModeClass.ANTISYMMETRIC_SINE)
-                worst = max(worst, principal_angle(anti, basis))
+        if canonical is not None:
+            basis = canonical
             report["sigma_independent"] = worst <= 1e-7
             report["max_principal_angle"] = worst
         else:

@@ -1,13 +1,15 @@
 """Symmetric eigendecomposition and a dense reference linear solver.
 
 One eigen route serves everything: LAPACK's ``eigh`` behind a descending,
-sign-fixed helper, which the preconditioned eigenproblem A(sigma)^(-1) B
-reaches by one similarity transform, whole or per invariant block.  Values
-and vectors (columns) stay arrays inside; :class:`EigenPair` lists and
-input checks exist only at the public edge.  The linear solver is
-self-contained Gaussian elimination with partial pivoting, an independent
-cross-check for the structured (Fourier / tridiagonal) routes in
-:mod:`smoothgd.smoothing`.
+sign-fixed helper that takes one matrix or a stack.  The preconditioned
+eigenproblem A(sigma)^(-1) B reaches it for a whole list of sigmas at once:
+one stacked similarity transform, one stacked ``eigh`` of the whole matrix
+or per invariant block, and one stacked map back, with each sigma's
+residual check on its own.  Values and vectors (columns) stay arrays
+inside; :class:`EigenPair` lists and input checks exist only at the public
+edge.  The linear solver is self-contained Gaussian elimination with
+partial pivoting, an independent cross-check for the structured (Fourier /
+tridiagonal) routes in :mod:`smoothgd.smoothing`.
 """
 
 from dataclasses import dataclass
@@ -77,23 +79,26 @@ def _require_symmetric(a, name="matrix"):
 def _sign_fix_columns(m, tol=1e-10):
     """Flip each column of m whose first entry above tol in magnitude is < 0.
 
+    ``m`` is one matrix or a stack of them; columns run along axis -2.
     Columns with no such entry are left as they are.  Only negations
     happen, so every entry keeps its bits up to the sign.  Returns a new
     array.
     """
     m = np.asarray(m, dtype=float)
-    if m.shape[0] == 0:
-        return m.copy()
     big = np.abs(m) > tol
-    # row of each column's first entry above tol (0 where there is none)
-    at = big.argmax(axis=0), np.arange(m.shape[1])
-    return np.where(big[at] & (m[at] < 0), -m, m)
+    # each column's first entry above tol, if it has one
+    first = big & (np.cumsum(big, axis=-2) == 1)
+    flip = (first & (m < 0)).any(axis=-2, keepdims=True)
+    return np.where(flip, -m, m)
 
 
 def _eigh_descending(a):
-    """Descending eigenvalues and sign-fixed eigenvector columns; no checks."""
+    """Descending eigenvalues and sign-fixed eigenvector columns; no checks.
+
+    ``a`` is one symmetric matrix or a stack of them, one ``eigh`` call.
+    """
     values, vectors = np.linalg.eigh(a)
-    return values[::-1].copy(), _sign_fix_columns(vectors[:, ::-1])
+    return values[..., ::-1].copy(), _sign_fix_columns(vectors[..., ::-1])
 
 
 def _pairs(values, vectors):
@@ -117,59 +122,82 @@ def sym_eigendecompose(m):
     return _pairs(*_eigh_descending(a))
 
 
-def _similar_symmetric(op, b):
-    """A^(-1/2) B A^(-1/2), the symmetric matrix similar to A^(-1) B.
+# Byte budget of one stack of n x n arrays.  A sigma list is decomposed in
+# chunks of at most this many bytes per stacked array, but of at least one
+# sigma, so memory does not grow with the list: at n <= 64 a chunk holds 32
+# sigmas or more, from n = 257 on it holds one.
+_STACK_BYTES = 1 << 20
 
-    ``op`` is the smoother A; both sides are applied as one batched
-    transform each, the second to the transpose of the first result.
+
+def _similar_eigh(b, sigmas, blocks=None):
+    """Eigenpairs of A^(-1/2) B A^(-1/2), the symmetric form of A^(-1) B.
+
+    One stacked similarity transform for the float array ``sigmas`` (a
+    batched FFT per side, the second on the transpose of the first result),
+    then one stacked ``eigh`` of the whole matrix, or one per block of
+    ``blocks`` (orthonormal row bases of invariant subspaces spanning the
+    space).  Returns values (S, n), per block descending in block order,
+    and eigenvector columns (S, n, n).
     """
-    sym = op.inv_sqrt_apply(op.inv_sqrt_apply(b).T)
-    return 0.5 * (sym + sym.T)
-
-
-def _map_back(op, b, values, vectors):
-    """Eigenvectors of A^(-1) B from eigenvectors of its similar form.
-
-    ``vectors`` holds one eigenvector of A^(-1/2) B A^(-1/2) per column.
-    Each goes back through A^(-1/2), is renormalized and sign-fixed (all
-    columns at once), and must satisfy ||A^(-1) B v - lambda v|| <= 1e-8,
-    checked for all pairs with one batched ``solve`` (Thomas or the FFT,
-    by size); otherwise :class:`ConvergenceError` is raised with the worst
-    residual.  Returns the mapped vectors as columns.
-    """
-    mapped = op.inv_sqrt_apply(vectors)
-    mapped /= np.linalg.norm(mapped, axis=0)
-    cols = _sign_fix_columns(mapped)
-    residual = np.max(np.linalg.norm(
-        op.solve(b @ cols) - cols * values, axis=0))
-    if residual > 1e-8:
-        raise ConvergenceError(
-            "back-transformed eigenpair failed its residual check", residual)
-    return cols
-
-
-def _preconditioned(b, sigma, blocks=None):
-    """Eigenvalues (descending) and eigenvectors (columns) of A^(-1) B.
-
-    A^(-1/2) B A^(-1/2) is decomposed whole, or per block of ``blocks``
-    (orthonormal row bases of invariant subspaces spanning the space); ties
-    keep block order.  ``b`` must already be a symmetric float matrix.
-    """
-    op = smoothing.CirculantSmoother(b.shape[0], sigma)
-    sym = _similar_symmetric(op, b)
+    first = smoothing._inv_sqrt_stack(b, sigmas)
+    sym = smoothing._inv_sqrt_stack(first.swapaxes(1, 2), sigmas)
+    sym = 0.5 * (sym + sym.swapaxes(1, 2))
     if blocks is None:
-        values, vectors = _eigh_descending(sym)
-    else:
-        values, vectors = [], []
-        for block in blocks:
-            restricted = block @ sym @ block.T
-            small = _eigh_descending(0.5 * (restricted + restricted.T))
-            values.append(small[0])
-            vectors.append(block.T @ small[1])
-        values, vectors = np.concatenate(values), np.hstack(vectors)
-    vectors = _map_back(op, b, values, vectors)
-    order = np.argsort(-values, kind="stable")
-    return values[order], vectors[:, order]
+        return _eigh_descending(sym)
+    values, vectors = [], []
+    for block in blocks:
+        restricted = block @ sym @ block.T
+        small = _eigh_descending(0.5 * (restricted + restricted.swapaxes(1, 2)))
+        values.append(small[0])
+        vectors.append(block.T @ small[1])
+    return np.concatenate(values, axis=1), np.concatenate(vectors, axis=2)
+
+
+def _map_back(ops, b, values, vectors):
+    """Eigenpairs of A^(-1) B from those of its similar form, per sigma.
+
+    ``ops`` holds the smoother A of each sigma of the stack.  Every column
+    of ``vectors`` goes back through A^(-1/2), and is renormalized and
+    sign-fixed, all sigmas at once; the pairs are then sorted by descending
+    value, stably, so ties keep block order.  The generator yields each
+    sigma's (values, columns) in turn, after checking that every pair
+    satisfies ||A^(-1) B v - lambda v|| <= 1e-8 with that sigma's batched
+    ``solve`` (Thomas or the FFT, by size); otherwise it raises
+    :class:`ConvergenceError` with the worst residual.
+    """
+    mapped = smoothing._inv_sqrt_stack(
+        vectors, np.array([op.sigma for op in ops]))
+    mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
+    cols = _sign_fix_columns(mapped)
+    del mapped
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranked = zip(np.take_along_axis(values, order, axis=1),
+                 np.take_along_axis(cols, order[:, None, :], axis=2))
+    for op, value, col, result in zip(ops, values, cols, ranked):
+        residual = np.max(np.linalg.norm(
+            op.solve(b @ col) - col * value, axis=0))
+        if residual > 1e-8:
+            raise ConvergenceError(
+                "back-transformed eigenpair failed its residual check",
+                residual)
+        yield result
+
+
+def _preconditioned(b, sigmas, blocks=None):
+    """Eigenvalues (descending) and eigenvectors (columns) of A(sigma)^(-1) B.
+
+    A generator over the sequence ``sigmas``: it yields (values, columns)
+    for each sigma in turn, decomposing the list in stacks that keep each
+    stacked n x n array within ``_STACK_BYTES``.  See :func:`_similar_eigh`
+    for ``blocks``.  ``b`` must already be a symmetric float matrix.
+    """
+    n = b.shape[0]
+    size = max(1, _STACK_BYTES // (8 * n * n))
+    for start in range(0, len(sigmas), size):
+        ops = [smoothing.CirculantSmoother(n, s)
+               for s in sigmas[start:start + size]]
+        stack = np.array([op.sigma for op in ops])
+        yield from _map_back(ops, b, *_similar_eigh(b, stack, blocks))
 
 
 def eig_preconditioned_hessian(b, sigma):
@@ -184,7 +212,8 @@ def eig_preconditioned_hessian(b, sigma):
     """
     b = _as_square(b, "hessian")
     _require_symmetric(b, "hessian")
-    return _pairs(*_preconditioned(b, sigma))
+    (values, vectors), = _preconditioned(b, [sigma])
+    return _pairs(values, vectors)
 
 
 def dense_solve(m, y):

@@ -19,6 +19,9 @@ general symmetric matrix by intersecting its positive eigenspaces with the
 eigenspaces of the ring second-difference operator.
 """
 
+import collections
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -261,6 +264,58 @@ class CanonicalSplit:
     symmetric: SubspaceBasis
 
 
+def _blocks(objective):
+    """The canonical split's row bases for a canonical objective, else None."""
+    if not objective.is_canonical:
+        return None
+    split = canonical_attraction_basis(objective.dim)
+    return split.antisymmetric.rows, split.symmetric.rows
+
+
+# Inside _sharing_decompositions: the objective, the sigmas still to come
+# and the stream of their decompositions; None outside it.
+_shared = contextvars.ContextVar("_shared", default=None)
+
+
+@contextlib.contextmanager
+def _sharing_decompositions(objective, sigmas):
+    """Let eigen_structure calls on ``sigmas``, in order, share one stack.
+
+    Inside the block, ``eigen_structure(objective, sigmas[i])`` called for
+    i = 0, 1, ... in turn takes its decomposition from one stream over the
+    whole list: the first call decomposes the first stack of sigmas (the
+    whole list when it fits the byte budget), later calls take their slice,
+    and each slice is dropped once taken.  Any other call decomposes its
+    sigma on its own.  Results are bit for bit those of separate calls.
+    """
+    sigmas = [float(s) for s in sigmas]
+    stream = linalg._preconditioned(objective.matrix, sigmas,
+                                    _blocks(objective))
+    token = _shared.set((objective, collections.deque(sigmas), stream))
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+        stream.close()
+
+
+def _decomposition(objective, sigma):
+    """Values and columns of A(sigma)^(-1) B for :func:`eigen_structure`.
+
+    The shared stream's next slice when this call is its turn, otherwise a
+    stack of one.
+    """
+    shared = _shared.get()
+    if shared is not None:
+        owner, pending, stream = shared
+        if owner is objective and pending and pending[0] == sigma:
+            pending.popleft()
+            return next(stream)
+    (values, columns), = linalg._preconditioned(
+        objective.matrix, [sigma], _blocks(objective))
+    return values, columns
+
+
 def eigen_structure(objective, sigma, tol=1e-8):
     """Eigenpairs of A(sigma)^(-1) B with symmetry classification.
 
@@ -273,7 +328,9 @@ def eigen_structure(objective, sigma, tol=1e-8):
     for canonical objectives the decomposition runs per block of the cached
     :func:`canonical_attraction_basis` split, which keeps eigenvectors of
     nearby eigenvalues from different families from mixing, no matter how
-    small the gap.  General matrices are decomposed whole.
+    small the gap.  General matrices are decomposed whole.  Inside
+    :func:`_sharing_decompositions` the decomposition comes from one stack
+    shared by a whole sigma list, bit for bit the same as a lone call's.
 
     All vectors are classified at once from three residuals per vector,
     max |h + reversed h|, max |h - reversed h| over the head h = v[:-1],
@@ -286,11 +343,7 @@ def eigen_structure(objective, sigma, tol=1e-8):
     if not np.isfinite(sigma) or sigma < 0.0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     canonical = objective.is_canonical
-    blocks = None
-    if canonical:
-        split = canonical_attraction_basis(objective.dim)
-        blocks = split.antisymmetric.rows, split.symmetric.rows
-    values, columns = linalg._preconditioned(objective.matrix, sigma, blocks)
+    values, columns = _decomposition(objective, sigma)
     labels, residuals = _classify(values, columns.T, tol)
     if canonical and sigma > 0.0:
         n = objective.dim
@@ -476,8 +529,8 @@ def negative_mode_overlap(objective, sigma1, sigma2):
     modes at different strengths are never orthogonal.
     """
     vecs = []
-    for sigma in (sigma1, sigma2):
-        values, vectors = linalg._preconditioned(objective.matrix, sigma)
+    for values, vectors in linalg._preconditioned(objective.matrix,
+                                                  (sigma1, sigma2)):
         if values[-1] >= 0:
             raise ValueError(
                 "objective has no negative-curvature mode to compare")

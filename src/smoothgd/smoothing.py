@@ -57,6 +57,38 @@ def _ring_symbol(n):
     return symbol
 
 
+def _coupling(n, sigma):
+    # coupling to each ring neighbour; at n = 2 both are the same entry
+    return sigma / 2.0 if n == 2 else sigma
+
+
+def _spectra(n, sigmas):
+    """Eigenvalues 1 + c * symbol of A(sigma) in DFT mode order.
+
+    ``sigmas`` is a scalar, giving shape (n,), or a sequence of S values,
+    giving one row per sigma, (S, n).
+    """
+    c = _coupling(n, np.asarray(sigmas, dtype=float))
+    return 1.0 + c[..., None] * _ring_symbol(n)
+
+
+def _inv_sqrt_stack(x, sigmas):
+    """A(sigma)^(-1/2) along axis -2 of x, for every sigma in one batch.
+
+    ``sigmas`` is a float array of S checked strengths.  ``x`` is (n, k),
+    shared by every sigma, or (S, n, k), one slice per sigma; the result is
+    (S, n, k).  One batched real FFT divides each Fourier mode by the square
+    root of its eigenvalue, and where sigma is 0 the slice is an exact copy
+    of x, so A(0)^(-1/2) is the identity.
+    """
+    n = x.shape[-2]
+    # the n // 2 + 1 modes rfft keeps, as in solve_dft
+    weights = 1.0 / np.sqrt(_spectra(n, sigmas)[:, :n // 2 + 1, None])
+    out = np.fft.irfft(np.fft.rfft(x, axis=-2) * weights, n, axis=-2)
+    np.copyto(out, x, where=(sigmas == 0.0)[:, None, None])
+    return out
+
+
 def solve_smoothed_pair(sigma, y0, y1):
     """Closed-form solve of the 2-point smoothing system.
 
@@ -86,8 +118,7 @@ class CirculantSmoother:
             raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         self._n = int(n)
         self._sigma = sigma
-        # coupling to each ring neighbour; at n = 2 both are the same entry
-        self._c = sigma / 2.0 if n == 2 else sigma
+        self._c = _coupling(self._n, sigma)
         self._spectrum = None
         self._thomas = None
 
@@ -109,20 +140,10 @@ class CirculantSmoother:
             raise ValueError("input has non-finite entries")
         return x
 
-    def _fourier(self, x, weights):
-        # irfft(weights * rfft(x)) along axis 0.  The spectrum is even in
-        # the mode index, so the n // 2 + 1 modes rfft keeps carry all of
-        # it, and irfft returns a real array by construction.
-        weights = weights[:self._n // 2 + 1]
-        if x.ndim == 2:
-            weights = weights[:, None]
-        return np.fft.irfft(np.fft.rfft(x, axis=0) * weights, self._n,
-                            axis=0)
-
     def spectrum(self):
         """Eigenvalues in DFT mode order, all in [1, 1 + 4*sigma]."""
         if self._spectrum is None:
-            self._spectrum = 1.0 + self._c * _ring_symbol(self._n)
+            self._spectrum = _spectra(self._n, self._sigma)
         return self._spectrum.copy()
 
     def apply(self, x):
@@ -152,7 +173,14 @@ class CirculantSmoother:
         y = self._check(y)
         if self._sigma == 0.0:
             return y.copy()
-        return self._fourier(y, 1.0 / self.spectrum())
+        # irfft(weights * rfft(y)) along axis 0.  The spectrum is even in
+        # the mode index, so the n // 2 + 1 modes rfft keeps carry all of
+        # it, and irfft returns a real array by construction.
+        weights = (1.0 / self.spectrum())[:self._n // 2 + 1]
+        if y.ndim == 2:
+            weights = weights[:, None]
+        return np.fft.irfft(np.fft.rfft(y, axis=0) * weights, self._n,
+                            axis=0)
 
     def _thomas_factors(self):
         # A = T + u v^T where T is the tridiagonal part with modified
@@ -235,6 +263,5 @@ class CirculantSmoother:
         the solves do, so A(0)^(-1/2) is the identity exactly.
         """
         x = self._check(x)
-        if self._sigma == 0.0:
-            return x.copy()
-        return self._fourier(x, 1.0 / np.sqrt(self.spectrum()))
+        out = _inv_sqrt_stack(x.reshape(self._n, -1), np.array([self._sigma]))
+        return out[0].reshape(x.shape)

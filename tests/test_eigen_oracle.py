@@ -1,11 +1,12 @@
-"""The array eigen route against the pair-list pipeline it replaced.
+"""The stacked eigen route against the per-sigma pair-list pipeline.
 
-The reference below is the earlier implementation kept as the oracle: every
-step returns a list of EigenPair, the canonical saddle is decomposed per
+The reference below is the earlier implementation kept as the oracle: one
+sigma at a time, with its own Fourier A^(-1/2) per operator, every step
+returning a list of EigenPair, the canonical saddle decomposed per
 reflection-parity block through the public ``sym_eigendecompose`` (with its
-input checks), and the pairs are sorted by descending value after the
-batched map back.  Values and vectors are compared with ``tobytes()``, so a
-signed zero or a last-bit change in any entry fails.
+input checks), and the pairs sorted by descending value after the batched
+map back.  Values and vectors are compared with ``tobytes()``, so a signed
+zero or a last-bit change in any entry fails.
 """
 
 import math
@@ -21,19 +22,42 @@ CANONICAL_SIGMAS = (0.0, 0.01, 0.1, 0.3, 1.0, 5.0, 7.0, 10.0, 50.0, 100.0)
 GENERAL_SIGMAS = (0.0, 0.1, 1.0, 10.0)
 
 
+def _ref_sign_fix_columns(m, tol=1e-10):
+    big = np.abs(m) > tol
+    at = big.argmax(axis=0), np.arange(m.shape[1])
+    return np.where(big[at] & (m[at] < 0), -m, m)
+
+
 def _ref_sym_eigendecompose(m):
     a = linalg._as_square(m)
     linalg._require_symmetric(a)
     values, vectors = np.linalg.eigh(a)
-    rows = linalg._sign_fix_columns(vectors[:, ::-1]).T.copy()
+    rows = _ref_sign_fix_columns(vectors[:, ::-1]).T.copy()
     return [EigenPair(float(value), vec)
             for value, vec in zip(values[::-1].tolist(), rows)]
 
 
+def _ref_inv_sqrt(op, x):
+    # A^(-1/2) of one operator: every Fourier mode over the square root of
+    # its eigenvalue, along axis 0; a copy at sigma = 0
+    if op.sigma == 0.0:
+        return x.copy()
+    n = op.n
+    weights = (1.0 / np.sqrt(op.spectrum()))[:n // 2 + 1]
+    if x.ndim == 2:
+        weights = weights[:, None]
+    return np.fft.irfft(np.fft.rfft(x, axis=0) * weights, n, axis=0)
+
+
+def _ref_similar_symmetric(op, b):
+    sym = _ref_inv_sqrt(op, _ref_inv_sqrt(op, b).T)
+    return 0.5 * (sym + sym.T)
+
+
 def _ref_map_back(op, b, values, vectors):
-    mapped = op.inv_sqrt_apply(vectors)
+    mapped = _ref_inv_sqrt(op, vectors)
     mapped /= np.linalg.norm(mapped, axis=0)
-    cols = linalg._sign_fix_columns(mapped)
+    cols = _ref_sign_fix_columns(mapped)
     residual = np.max(np.linalg.norm(
         op.solve(b @ cols) - cols * np.asarray(values), axis=0))
     assert residual <= 1e-8
@@ -43,7 +67,7 @@ def _ref_map_back(op, b, values, vectors):
 
 def _ref_eig_preconditioned_hessian(b, sigma):
     op = CirculantSmoother(b.shape[0], sigma)
-    pairs = _ref_sym_eigendecompose(linalg._similar_symmetric(op, b))
+    pairs = _ref_sym_eigendecompose(_ref_similar_symmetric(op, b))
     return _ref_map_back(op, b, [p.value for p in pairs],
                          np.column_stack([p.vector for p in pairs]))
 
@@ -51,7 +75,7 @@ def _ref_eig_preconditioned_hessian(b, sigma):
 def _ref_reflection_adapted_pairs(b, sigma):
     n = b.shape[0]
     op = CirculantSmoother(n, sigma)
-    sym = linalg._similar_symmetric(op, b)
+    sym = _ref_similar_symmetric(op, b)
     split = saddle.canonical_attraction_basis(n)
     values, vectors = [], []
     for block in (split.antisymmetric.rows, split.symmetric.rows):
@@ -147,3 +171,48 @@ def test_general_route_matches_the_pair_list_pipeline(chunk):
                 pairs)
             _assert_same_structure(objective, sigma, pairs)
     assert repeated >= 5
+
+
+# sigma lists for the stacked route: with 0, with a repeated sigma, of one
+STACK_LISTS = ((0.0, 0.01, 10.0), (1.0, 0.1, 1.0), (3.0,))
+
+
+def _stack_matrices(n):
+    # the canonical saddle at every n; a random matrix at odd n and one
+    # with a repeated eigenvalue at even n from 4, both at n = 200
+    rng = np.random.default_rng(7300 + n)
+    yield saddle.canonical_objective(n)
+    if n % 2 or n == 200:
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        random = q @ np.diag(values) @ q.T
+        yield saddle.QuadraticObjective(0.5 * (random + random.T))
+    if n % 2 == 0 and n >= 4:
+        yield saddle.QuadraticObjective(_ring_repeated(rng, n))
+
+
+@pytest.mark.parametrize("n", list(range(2, 65)) + [200])
+def test_stacked_route_matches_the_per_sigma_oracle(n, monkeypatch):
+    # the stream at the default budget (one stack at n <= 256), then
+    # eigen_structure sharing it in chunks of one sigma (even n) or two
+    chunk = 1 + n % 2
+    for objective in _stack_matrices(n):
+        b = objective.matrix
+        blocks = saddle._blocks(objective)
+        ref = (_ref_reflection_adapted_pairs if objective.is_canonical
+               else _ref_eig_preconditioned_hessian)
+        for sigmas in STACK_LISTS:
+            expect = [ref(b, sigma) for sigma in sigmas]
+            got = list(linalg._preconditioned(b, sigmas, blocks))
+            assert len(got) == len(sigmas)
+            for (values, columns), pairs in zip(got, expect):
+                assert values.tobytes() == np.array(
+                    [p.value for p in pairs]).tobytes()
+                assert columns.T.tobytes() == np.array(
+                    [p.vector for p in pairs]).tobytes()
+            monkeypatch.setattr(linalg, "_STACK_BYTES", chunk * 8 * n * n)
+            with saddle._sharing_decompositions(objective, sigmas):
+                for sigma, pairs in zip(sigmas, expect):
+                    _assert_same_structure(objective, sigma, pairs)
+                assert not saddle._shared.get()[1]   # every sigma shared
+            monkeypatch.undo()

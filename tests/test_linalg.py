@@ -151,14 +151,18 @@ def test_preconditioned_matches_dense_route(rng):
 def test_map_back_rejects_a_perturbed_eigenvector(rng):
     b = rng.standard_normal((6, 6))
     b = 0.5 * (b + b.T)
-    op = CirculantSmoother(6, 1.5)
-    pairs = sym_eigendecompose(linalg._similar_symmetric(op, b))
-    values = [p.value for p in pairs]
-    vectors = np.column_stack([p.vector for p in pairs])
-    assert linalg._map_back(op, b, np.array(values), vectors).shape == (6, 6)
-    vectors[:, 3] += 1e-4 * vectors[:, 0]
+    sigmas = (0.4, 1.5, 3.0)
+    ops = [CirculantSmoother(6, s) for s in sigmas]
+    values, vectors = linalg._similar_eigh(b, np.array(sigmas))
+    got = list(linalg._map_back(ops, b, values, vectors))
+    assert [cols.shape for _, cols in got] == [(6, 6)] * 3
+    # perturb one sigma's column inside the stack: the sigma before it
+    # passes its check, this one fails it
+    vectors[1, :, 3] += 1e-4 * vectors[1, :, 0]
+    stream = linalg._map_back(ops, b, values, vectors)
+    next(stream)
     with pytest.raises(ConvergenceError) as info:
-        linalg._map_back(op, b, np.array(values), vectors)
+        next(stream)
     assert info.value.residual > 1e-8
 
 

@@ -378,3 +378,22 @@ def test_is_canonical_is_computed_on_first_use():
     assert "is_canonical" not in vars(obj)
     assert obj.is_canonical and vars(obj)["is_canonical"] is True
     assert not QuadraticObjective(np.eye(3)).is_canonical
+
+
+def test_calls_out_of_turn_do_not_take_the_shared_stack():
+    objective = canonical_objective(7)
+    other = canonical_objective(7)
+    sigmas = (0.5, 2.0, 0.5)
+    alone = [eigen_structure(objective, s) for s in sigmas]
+    with saddle._sharing_decompositions(objective, sigmas):
+        got = [eigen_structure(objective, 2.0),      # out of turn
+               eigen_structure(other, 0.5),          # another objective
+               eigen_structure(objective, 0.5),
+               eigen_structure(objective, 2.0),
+               eigen_structure(objective, 0.5)]
+        assert not saddle._shared.get()[1]
+    for es, ref in zip(got, [alone[1], alone[0]] + alone):
+        assert es.sigma == ref.sigma
+        assert es.values.tobytes() == ref.values.tobytes()
+        assert es.columns.tobytes() == ref.columns.tobytes()
+    assert saddle._shared.get() is None
