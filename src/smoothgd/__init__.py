@@ -14,7 +14,7 @@ The package bundles four pieces that work together:
 ``cli`` exposes all of it as the ``smoothgd`` command.
 """
 
-from .smoothing import CirculantSmoother, solve_smoothed_pair
+from .smoothing import CirculantSmoother
 from .linalg import (
     ConvergenceError,
     EigenPair,
@@ -67,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CirculantSmoother",
-    "solve_smoothed_pair",
     "ConvergenceError",
     "EigenPair",
     "SingularMatrixError",

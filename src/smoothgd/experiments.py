@@ -10,15 +10,14 @@ the run configuration alone:
   every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  The
   step kernel advances the two unit vectors to give T's columns, T is
   applied to all cells at once, and each cell's status comes from its
-  final point.  This route runs inline and ignores ``threads``.  If T is
-  not finite, the sweep falls back to the step kernel for the whole grid.
+  final point.  If T is not finite, the sweep falls back to the step
+  kernel for the whole grid.
 * **Step kernel.**  Otherwise all grid cells advance together as flat
   arrays, one schedule step at a time; termination checks mirror
   :func:`smoothgd.optimizers.run` cell by cell, in the same order
   (stationarity, step budget, escape).  Only the cells still running are
   computed on, and a step on which no rule can fire skips the per-cell
-  checks.  Every arithmetic operation is elementwise across cells, so
-  results do not depend on how the grid is chunked across threads.
+  checks.
 
 The kernel is the only code that takes a step, and it is the reference the
 tests compare the step-map route with.
@@ -30,7 +29,6 @@ import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -200,7 +198,7 @@ class FieldSummary:
 
 
 def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
-    """Advance one chunk of cells through the full termination loop.
+    """Advance cells through the full termination loop.
 
     Returns final coordinates and per-cell status codes.  Mirrors
     optimizers.run: at each k the order is stationarity check, budget
@@ -282,18 +280,17 @@ def sweep(objective, grid, config, schedule, threads=None):
         trajectories would defeat the flat-memory design)
     schedule : sigma schedule, shared by all cells; a sigma that is not
         finite and >= 0 raises ValueError, as in :func:`run`
-    threads : worker count for the step kernel, an integer >= 1 (None or
-        1 runs inline).  It is clamped to the available CPUs.  Results are
-        written into place by grid position, and every operation is
-        elementwise, so the output is identical for any thread count.
+    threads : None or an integer >= 1; it has no effect.  Every sweep
+        runs inline on the calling thread.  The argument is kept, and
+        still validated, for callers that pass it.
 
     The config picks the route.  With ``eps_stationary == 0`` and
     ``escape_radius == inf`` no rule can end a run before the budget, so
     every cell ends at T x0, where T is the accumulated 2x2 step map; it is
-    built by stepping the two unit vectors and applied to all cells inline,
-    whatever ``threads`` says.  A cell is ``failed`` if its final point or
-    gradient is not finite, ``reached_stationary`` if its final gradient is
-    zero, and ``max_iters`` otherwise.  If T itself is not finite, or any
+    built by stepping the two unit vectors and applied to all cells at
+    once.  A cell is ``failed`` if its final point or gradient is not
+    finite, ``reached_stationary`` if its final gradient is zero, and
+    ``max_iters`` otherwise.  If T itself is not finite, or any
     termination rule is enabled, every cell is stepped by the kernel.
 
     Returns a :class:`DistanceField` in radius-major grid order.
@@ -322,7 +319,7 @@ def sweep(objective, grid, config, schedule, threads=None):
     if config.eps_stationary == 0.0 and config.escape_radius == math.inf:
         final = _map_cells(b, x0, config, schedule)
     if final is None:
-        final = _kernel_cells(b, x0, config, schedule, threads)
+        final = _advance_cells(*b, x0[:, 0], x0[:, 1], config, schedule)
     final0, final1, status = final
 
     distance = np.hypot(final0, final1)
@@ -382,40 +379,6 @@ def _step_map(b, config, schedule):
     if shared is not None:
         shared[key] = (t00, t01, t10, t11)
     return t00, t01, t10, t11
-
-
-def _kernel_cells(b, x0, config, schedule, threads):
-    """Final points and statuses from stepping every cell, maybe threaded."""
-    total = len(x0)
-    final0 = np.empty(total)
-    final1 = np.empty(total)
-    status = np.empty(total, dtype=np.int8)
-
-    def work(lo, hi):
-        f0, f1, st = _advance_cells(
-            *b, x0[lo:hi, 0], x0[lo:hi, 1], config, schedule)
-        final0[lo:hi] = f0
-        final1[lo:hi] = f1
-        status[lo:hi] = st
-
-    workers = 1 if threads is None else min(int(threads), _available_cpus())
-    if workers <= 1 or total < 2:
-        work(0, total)
-    else:
-        chunk = max(1, -(-total // (4 * workers)))
-        bounds = [(lo, min(lo + chunk, total))
-                  for lo in range(0, total, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda bound: work(*bound), bounds))
-    return final0, final1, status
-
-
-def _available_cpus():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _describe_schedule(schedule):

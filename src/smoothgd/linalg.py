@@ -176,7 +176,7 @@ def _map_back(ops, b, values, vectors):
     for op, value, col, result in zip(ops, values, cols, ranked):
         residual = np.max(np.linalg.norm(
             op.solve(b @ col) - col * value, axis=0))
-        if residual > 1e-8:
+        if not residual <= 1e-8:   # a NaN residual fails too
             raise ConvergenceError(
                 "back-transformed eigenpair failed its residual check",
                 residual)

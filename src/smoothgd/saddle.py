@@ -104,11 +104,6 @@ class QuadraticObjective:
         x = np.asarray(x, dtype=float)
         return self.scale * (self.matrix @ x)
 
-    def gradient_lipschitz(self):
-        """scale * spectral radius of the matrix."""
-        values, _ = linalg._eigh_descending(self.matrix)
-        return self.scale * float(np.max(np.abs(values)))
-
     def describe(self):
         kind = "canonical" if self.is_canonical else "matrix"
         return f"{kind}(n={self.dim}, scale={self.scale:g})"
@@ -239,7 +234,8 @@ class SubspaceBasis:
             raise ValueError(f"basis must be a 2-d array, got shape {r.shape}")
         if r.shape[0]:
             gram = r @ r.T
-            if np.max(np.abs(gram - np.eye(r.shape[0]))) > 1e-10:
+            # written so that a NaN anywhere fails the check
+            if not np.max(np.abs(gram - np.eye(r.shape[0]))) <= 1e-10:
                 raise ValueError("basis rows are not orthonormal within 1e-10")
         r = r.copy()
         r.setflags(write=False)
@@ -248,12 +244,6 @@ class SubspaceBasis:
     @property
     def dim(self):
         return self.rows.shape[0]
-
-    def project(self, x):
-        """Orthogonal projection of x onto the subspace."""
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(x, dtype=float))
-        return self.rows.T @ (self.rows @ np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)

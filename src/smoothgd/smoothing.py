@@ -38,6 +38,7 @@ ring at half strength, the single coupling [[1 + sigma, -sigma], [-sigma,
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -204,6 +205,12 @@ class CirculantSmoother:
             u[-1] = -c
             q = self._tri_solve(denom, u.tolist())
             v_dot_q = q[0] - (c / gamma) * q[-1]
+            # Sherman-Morrison divides by 1 + v^T q; where that is zero or
+            # not finite (at very large sigma) no solve can be trusted
+            if not (math.isfinite(v_dot_q) and 1.0 + v_dot_q != 0.0):
+                raise ArithmeticError(
+                    f"Thomas elimination breaks down at sigma = "
+                    f"{self._sigma:g} (n = {n})")
             self._thomas = (denom, q, v_dot_q, gamma)
         return self._thomas
 
@@ -228,7 +235,9 @@ class CirculantSmoother:
         The periodic corner entries are handled with a rank-one update: the
         system splits as A = T + u v^T with T strictly tridiagonal and
         diagonally dominant, so a single extra T-solve folds the corners
-        back in (Sherman-Morrison).
+        back in (Sherman-Morrison).  Where that fold-in breaks down, at very
+        large sigma, it raises ArithmeticError instead of returning inf or
+        NaN.
         """
         y = self._check(y)
         if self._sigma == 0.0:

@@ -253,6 +253,27 @@ def test_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("args", [
+    # the residual check's own Thomas solve breaks down
+    ["analyze", "--n", "4", "--sigma-list", "1e100"],
+    *(["analyze", "--n", str(n), "--sigma-list", sigma]
+      for n in (2, 4, 5) for sigma in ("1e200", "1e300")),
+])
+def test_analyze_at_huge_sigma_is_a_numerical_error(args, capsys):
+    assert run_cli(args) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("smoothgd: error: ")
+
+
+def test_smooth_reports_thomas_breakdown(tmp_path, capsys):
+    src = tmp_path / "y.txt"
+    write_vector(src, [1.0, 2.0, 3.0, 4.0, 5.0])
+    assert run_cli(["smooth", "--sigma", "1e155", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sigma = 1e+155" in captured.err
+
+
+@pytest.mark.parametrize("args", [
     ["optimize", "--n", "2", "--iters", "-1"],
     ["optimize", "--n", "2", "--eta", "0"],
     ["smooth", "--sigma", "nan"],

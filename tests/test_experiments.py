@@ -5,6 +5,7 @@ import math
 import os
 import stat
 import sys
+import threading
 import warnings
 from dataclasses import replace
 
@@ -264,36 +265,21 @@ def test_sweep_rejects_bad_thread_count(threads):
         sweep(SWAP, grid, RunConfig(max_iters=5), RatioSigma(), threads=threads)
 
 
-def test_sweep_clamps_threads_to_cpus(monkeypatch):
-    # a fake executor records its worker count and runs the work inline,
-    # so no thread is ever started
-    asked = []
+def test_sweep_starts_no_thread(monkeypatch):
+    # both routes run inline on the calling thread, whatever the count
+    def refuse(thread):
+        raise AssertionError("sweep started a thread")
 
-    class InlineExecutor:
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlineExecutor)
-    monkeypatch.setattr(experiments, "_available_cpus", lambda: 3)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     grid = PolarGrid(0.1, 0.4, 0.1, -180.0, 180.0, 10.0)
-    config = RunConfig(eta=0.1, max_iters=40, escape_radius=30.0)
-    many = sweep(SWAP, grid, config, RatioSigma(), threads=100000)
-    assert asked == [3]
-    inline = sweep(SWAP, grid, config, RatioSigma())
-    assert asked == [3]
-    np.testing.assert_array_equal(many.final_distance, inline.final_distance)
-    monkeypatch.setattr(experiments, "_available_cpus", lambda: 1)
-    sweep(SWAP, grid, config, RatioSigma(), threads=8)
-    assert asked == [3]
+    for config in (RunConfig(eta=0.1, max_iters=40),   # the step map
+                   RunConfig(eta=0.1, max_iters=40, escape_radius=30.0)):
+        inline = sweep(SWAP, grid, config, RatioSigma())
+        for threads in (1, 4):
+            field = sweep(SWAP, grid, config, RatioSigma(), threads=threads)
+            assert (field.final_distance.tobytes()
+                    == inline.final_distance.tobytes())
+            assert field.status.tobytes() == inline.status.tobytes()
 
 
 def test_sweep_rejects_bad_input():

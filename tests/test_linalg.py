@@ -166,6 +166,21 @@ def test_map_back_rejects_a_perturbed_eigenvector(rng):
     assert info.value.residual > 1e-8
 
 
+def test_map_back_rejects_a_nan_residual(rng):
+    # a NaN residual fails the check: NaN > 1e-8 alone would let it pass
+    b = rng.standard_normal((6, 6))
+    b = 0.5 * (b + b.T)
+    sigmas = (0.4, 1.5, 3.0)
+    ops = [CirculantSmoother(6, s) for s in sigmas]
+    values, vectors = linalg._similar_eigh(b, np.array(sigmas))
+    values[1, 2] = np.nan
+    stream = linalg._map_back(ops, b, values, vectors)
+    next(stream)
+    with pytest.raises(ConvergenceError) as info:
+        next(stream)
+    assert math.isnan(info.value.residual)
+
+
 def test_dense_solve_matches_numpy(rng):
     m = rng.standard_normal((6, 6))
     m = m @ m.T + 6 * np.eye(6)

@@ -32,7 +32,6 @@ def test_objective_value_and_gradient():
     x = np.array([1.0, -1.0])
     assert obj.value(x) == pytest.approx(0.5 * (2 - 12 + 4))
     np.testing.assert_allclose(obj.gradient(x), [-4.0, 2.0], atol=1e-14)
-    assert obj.gradient_lipschitz() == pytest.approx(3.0 + math.sqrt(37.0), abs=1e-12)
 
 
 def test_canonical_objective_shape():
@@ -211,6 +210,11 @@ def test_subspace_basis_validation():
         SubspaceBasis(np.array([[1.0, 1.0]]))  # not unit length
     basis = SubspaceBasis(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     assert basis.dim == 2
+
+
+def test_subspace_basis_rejects_a_nan_row():
+    with pytest.raises(ValueError, match="orthonormal"):
+        SubspaceBasis(np.array([[np.nan, 0.0]]))
 
 
 # -- the per-vector and row-by-row code the array forms replaced, as oracles --

@@ -308,6 +308,28 @@ def test_n2_is_the_ring_at_half_strength(rng, sigma):
                 <= 1e-15 * (1.0 + 2.0 * sigma) * np.max(np.abs(expect)))
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 63])
+@pytest.mark.parametrize("k", [None, 3])
+def test_thomas_is_finite_or_raises_on_breakdown(rng, n, k):
+    # Sherman-Morrison's 1 + v^T q is exactly 0 at n = 5 from sigma = 1e16
+    # on, and NaN once c^2 overflows; Thomas must then raise, not return
+    # inf or NaN
+    y = rng.standard_normal(n if k is None else (n, k))
+    raised = []
+    for e in range(309):
+        op = CirculantSmoother(n, 10.0 ** e)
+        try:
+            x = op.solve_thomas(y)
+        except ArithmeticError as exc:
+            assert type(exc) is ArithmeticError
+            assert f"sigma = {op.sigma:g}" in str(exc)
+            raised.append(e)
+            continue
+        assert np.isfinite(x).all(), e
+    assert raised and raised[0] >= 3   # sigma <= 100 is never affected
+    assert 308 in raised
+
+
 def test_inv_sqrt_shape_validation():
     # every method shares inv_sqrt_apply's contract: (n,) or (n, k), finite
     op = CirculantSmoother(4, 1.0)
