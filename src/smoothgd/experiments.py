@@ -436,8 +436,11 @@ def rate_check(objective, trials, eps, schedule, seed=0):
     origin is the reference f*).  Each trial starts from a random point in
     the unit ball, runs smoothed descent with eta = 1 / L until the
     gradient norm drops to eps, and reports empirical iterations next to
-    the worst-case bound for the schedule's sigma bound C.
+    the worst-case bound for the schedule's sigma bound C.  ``trials`` is
+    an integer >= 0, as ``RunConfig.max_iters`` is.
     """
+    if not _is_count(trials) or trials < 0:
+        raise ValueError(f"trials must be an integer >= 0, got {trials!r}")
     eigvals, _ = linalg._eigh_descending(objective.matrix)
     if eigvals[-1] <= 0:
         raise ValueError("rate_check needs a positive definite matrix")

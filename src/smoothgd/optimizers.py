@@ -172,17 +172,6 @@ class GradientFunction:
         return self._value(x)
 
 
-def _checked_gradient(objective, x, k, trajectory):
-    g = np.asarray(objective.gradient(x), dtype=float)
-    if g.shape != x.shape:
-        raise ValueError(
-            f"gradient shape {g.shape} does not match point shape {x.shape}")
-    if not np.isfinite(g).all():
-        raise NumericError("gradient has non-finite entries", x.copy(), k,
-                           trajectory)
-    return g
-
-
 def run(objective, x0, config, schedule):
     """Iterate smoothed descent from x0 until a termination rule fires.
 
@@ -193,6 +182,17 @@ def run(objective, x0, config, schedule):
     ``REACHED_STATIONARY``.  With ``ConstantSigma(0)`` the smoothing system
     is the identity and this is plain gradient descent.
 
+    Each step checks each vector once.  The gradient is converted to a
+    float array and its shape checked, and its squared norm (the one
+    ``final_grad_norm`` and the stationarity test take) doubles as its
+    finiteness test; the new iterate's squared norm does the same, and the
+    next step's escape test reuses it.  A sum of squares is finite only if
+    every entry is, and only where it is not does the exact entrywise test
+    run, so a finite vector whose squares overflow still passes.  The step
+    then calls the default solve route of
+    :class:`~smoothgd.smoothing.CirculantSmoother` without its input
+    checks, which this gradient has already passed.
+
     Raises :class:`NumericError` if an iterate or gradient turns non-finite;
     the exception carries the partial trajectory when recording is on.
     """
@@ -202,35 +202,50 @@ def run(objective, x0, config, schedule):
             f"x0 must be a vector of length {objective.dim}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
+    # Squared norms come from np.vdot: the BLAS dot that ndarray.dot and
+    # np.linalg.norm use, bit for bit, but without their check of the
+    # floating-point flags, so a non-finite or overflowing vector costs no
+    # warning.  x is always a fresh contiguous vector here.
+    xx = np.vdot(x, x)
     trajectory = [x.copy()] if config.record_trajectory else None
     smoother = None
     sigma_prev = None
     k = 0
     while True:
-        grad = _checked_gradient(objective, x, k, trajectory)
+        grad = np.asarray(objective.gradient(x), dtype=float)
+        if grad.shape != x.shape:
+            raise ValueError(f"gradient shape {grad.shape} does not match "
+                             f"point shape {x.shape}")
         # exactly what np.linalg.norm computes for a 1-d float array (dot
         # in memory order, then sqrt), without its dispatch overhead
         flat = grad.ravel(order="K")
-        gnorm = math.sqrt(flat.dot(flat))
+        gg = np.vdot(flat, flat)
+        if not gg < math.inf:
+            if not np.isfinite(grad).all():
+                raise NumericError("gradient has non-finite entries",
+                                   x.copy(), k, trajectory)
+            # finite entries whose squares overflow: the norm is inf, with
+            # the overflow warning np.linalg.norm gives
+            gg = flat.dot(flat)
+        gnorm = math.sqrt(gg)
         if gnorm <= config.eps_stationary:
             status = RunStatus.REACHED_STATIONARY
             break
         if k >= config.max_iters:
             status = RunStatus.MAX_ITERS
             break
-        # x is always a fresh contiguous vector here, so its norm is the
-        # plain dot
         if (config.escape_radius < math.inf
-                and math.sqrt(x.dot(x)) > config.escape_radius):
+                and math.sqrt(xx) > config.escape_radius):
             status = RunStatus.ESCAPED
             break
         sigma = float(schedule(k))
         if smoother is None or sigma != sigma_prev:
             smoother = CirculantSmoother(objective.dim, sigma)
             sigma_prev = sigma
-        x = x - config.eta * smoother.solve(grad)
+        x = x - config.eta * smoother._solve(grad)
         k += 1
-        if not np.isfinite(x).all():
+        xx = np.vdot(x, x)
+        if not xx < math.inf and not np.isfinite(x).all():
             raise NumericError("iterate has non-finite entries", x, k,
                                trajectory)
         if trajectory is not None:
@@ -255,14 +270,19 @@ def stationarity_iteration_bound(c_bound, lipschitz, f0, fstar, eps):
     eps : target stationarity level, > 0
 
     Returns the real-valued bound 2 (1+4C)^2 L (f0 - fstar) / ((1+8C) eps^2).
+    Each check is written so that a NaN fails it, as RunConfig's are.  An
+    infinite C fails too: the bound's factor (1+4C)^2 / (1+8C) would be
+    inf / inf.
     """
-    if c_bound < 0.0:
-        raise ValueError(f"schedule bound must be >= 0, got {c_bound}")
-    if lipschitz <= 0.0:
+    if not (math.isfinite(c_bound) and c_bound >= 0.0):
+        raise ValueError(
+            f"schedule bound must be finite and >= 0, got {c_bound}")
+    if not lipschitz > 0.0:
         raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    if f0 < fstar:
-        raise ValueError("f0 must be >= fstar")
+    if not f0 >= fstar:
+        raise ValueError(f"f0 must be >= fstar, got f0 = {f0}, "
+                         f"fstar = {fstar}")
     gain = (1.0 + 8.0 * c_bound) / (2.0 * (1.0 + 4.0 * c_bound) ** 2)
     return (f0 - fstar) * lipschitz / (gain * eps * eps)

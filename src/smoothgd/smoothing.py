@@ -171,7 +171,10 @@ class CirculantSmoother:
         mode by the reciprocal eigenvalues, and transformed back.  At
         sigma = 0 it returns a copy of y, exactly as Thomas does.
         """
-        y = self._check(y)
+        return self._solve_dft(self._check(y))
+
+    def _solve_dft(self, y):
+        # the route itself, on a y that has passed _check
         if self._sigma == 0.0:
             return y.copy()
         # irfft(weights * rfft(y)) along axis 0.  The spectrum is even in
@@ -239,7 +242,10 @@ class CirculantSmoother:
         large sigma, it raises ArithmeticError instead of returning inf or
         NaN.
         """
-        y = self._check(y)
+        return self._solve_thomas(self._check(y))
+
+    def _solve_thomas(self, y):
+        # the route itself, on a y that has passed _check
         if self._sigma == 0.0:
             return y.copy()
         denom, q, v_dot_q, gamma = self._thomas_factors()
@@ -260,9 +266,15 @@ class CirculantSmoother:
         behaviour is tested and where a Fourier solve's round-off lets more
         antisymmetric starts escape, keep Thomas's exact arithmetic.
         """
+        return self._solve(self._check(y))
+
+    def _solve(self, y):
+        # the default route on a y that has passed _check, or that the
+        # caller has checked the same way: a float array of shape (n,) or
+        # (n, k) with finite entries.  run() steps through this directly.
         if self._n < _FOURIER_FROM_N:
-            return self.solve_thomas(y)
-        return self.solve_dft(y)
+            return self._solve_thomas(y)
+        return self._solve_dft(y)
 
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.

@@ -442,6 +442,26 @@ def test_rate_check_rejects_indefinite():
         rate_check(SWAP, trials=2, eps=1e-3, schedule=RatioSigma())
 
 
+@pytest.mark.parametrize("trials", [-2, True, False, np.True_, 2.0, "3"])
+def test_rate_check_rejects_bad_trial_counts(trials):
+    obj = QuadraticObjective(np.eye(2))
+    with pytest.raises(ValueError, match="trials must be an integer"):
+        rate_check(obj, trials=trials, eps=1e-2, schedule=RatioSigma())
+
+
+def test_rate_check_accepts_numpy_and_zero_trial_counts():
+    obj = QuadraticObjective(np.eye(2))
+    assert rate_check(obj, trials=0, eps=1e-2, schedule=RatioSigma()) == []
+    assert len(rate_check(obj, trials=np.int64(2), eps=1e-2,
+                          schedule=RatioSigma())) == 2
+
+
+def test_rate_check_rejects_a_nan_eps_with_the_bound_message():
+    obj = QuadraticObjective(np.eye(2))
+    with pytest.raises(ValueError, match="eps must be > 0, got nan"):
+        rate_check(obj, trials=1, eps=float("nan"), schedule=RatioSigma())
+
+
 def test_csv_round_trip(tmp_path):
     grid = small_grid()
     field = sweep(SWAP, grid, RunConfig(eta=0.1, max_iters=30, escape_radius=40.0),

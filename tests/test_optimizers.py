@@ -1,5 +1,8 @@
 """Tests for schedules and the scalar descent loop."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +171,16 @@ def test_iteration_bound_values():
         stationarity_iteration_bound(-0.5, 1.0, 1.0, 0.0, 0.1)
     with pytest.raises(ValueError):
         stationarity_iteration_bound(0.0, 1.0, 1.0, 0.0, 0.0)
+    # a NaN in any argument fails its check, as do both signs of NaN
+    for position in range(5):
+        for bad in (math.nan, -math.nan):
+            args = [1.0, 2.0, 1.0, 0.0, 0.1]
+            args[position] = bad
+            with pytest.raises(ValueError):
+                stationarity_iteration_bound(*args)
+    # (1 + 4C)^2 / (1 + 8C) is inf / inf at C = inf, which would give NaN
+    with pytest.raises(ValueError, match="finite"):
+        stationarity_iteration_bound(math.inf, 1.0, 1.0, 0.0, 0.1)
 
 
 def test_nonsymmetric_matrix_rejected():
@@ -222,3 +235,173 @@ def test_run_above_the_crossover_matches_a_dense_replay(rng, n, schedule):
         x = x - 0.1 * np.linalg.solve(dense, d * x)
     assert result.iterations_used == 40
     assert np.linalg.norm(result.final_point - x) <= 1e-10 * np.linalg.norm(x)
+
+
+def _replay(objective, x0, config, schedule):
+    """run()'s loop with every check spelled out, step by step.
+
+    Each step converts and checks the gradient, takes the norms with
+    np.linalg.norm, solves through a new operator's public (input-checking)
+    ``solve`` and tests the new iterate with np.isfinite.  Returns
+    (final point, iterations, status, final gradient norm, trajectory).
+    """
+    x = np.asarray(x0, dtype=float).copy()
+    trajectory = [x.copy()]
+    k = 0
+    while True:
+        grad = np.asarray(objective.gradient(x), dtype=float)
+        if not np.isfinite(grad).all():
+            raise NumericError("gradient has non-finite entries", x.copy(), k,
+                               trajectory)
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm <= config.eps_stationary:
+            status = RunStatus.REACHED_STATIONARY
+            break
+        if k >= config.max_iters:
+            status = RunStatus.MAX_ITERS
+            break
+        if (config.escape_radius < math.inf
+                and np.linalg.norm(x) > config.escape_radius):
+            status = RunStatus.ESCAPED
+            break
+        x = x - config.eta * CirculantSmoother(x.shape[0],
+                                               schedule(k)).solve(grad)
+        k += 1
+        if not np.isfinite(x).all():
+            raise NumericError("iterate has non-finite entries", x, k,
+                               trajectory)
+        trajectory.append(x.copy())
+    return x, k, status, gnorm, np.array(trajectory)
+
+
+def _assert_matches_replay(objective, x0, config, schedule):
+    config = replace(config, record_trajectory=True)
+    result = run(objective, x0, config, schedule)
+    x, k, status, gnorm, trajectory = _replay(objective, x0, config, schedule)
+    assert result.status is status
+    assert result.iterations_used == k
+    assert result.final_grad_norm == gnorm
+    assert np.array_equal(result.final_point, x)
+    assert np.array_equal(result.trajectory, trajectory)
+    return result
+
+
+_REPLAY_CONFIGS = {
+    "budget": RunConfig(eta=0.1, max_iters=60),
+    "stationary": RunConfig(eta=0.1, max_iters=300, eps_stationary=1e-2),
+    "escape": RunConfig(eta=0.1, max_iters=300, escape_radius=3.0),
+    "both": RunConfig(eta=0.1, max_iters=300, eps_stationary=1e-2,
+                      escape_radius=3.0),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 16, 63, 64, 65, 512])
+@pytest.mark.parametrize("schedule", [ConstantSigma(0.0), RatioSigma(),
+                                      PlateauSigma(8)])
+def test_run_matches_a_replay_through_the_checked_solve(rng, n, schedule):
+    # run() calls the solve route's core on a gradient it has checked
+    # itself; every iterate must equal a loop through the public solve
+    seen = set()
+    for definite in (True, False):
+        d = rng.uniform(0.5, 2.0, n)
+        if not definite:
+            d[rng.integers(n)] = -2.0
+        objective = GradientFunction(n, lambda x, d=d: d * x)
+        x0 = rng.standard_normal(n)
+        x0 /= np.linalg.norm(x0)
+        for config in _REPLAY_CONFIGS.values():
+            seen.add(_assert_matches_replay(objective, x0, config,
+                                            schedule).status)
+    # the cases reach every way a run can end
+    assert seen == set(RunStatus)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("step", [0, 1, 5])
+@pytest.mark.parametrize("record", [False, True])
+def test_non_finite_gradient_raises_at_its_step(bad, step, record):
+    def objective():
+        calls = []
+
+        def gradient(x):
+            calls.append(None)
+            g = 2.0 * x
+            if len(calls) == step + 1:
+                g[1] = bad
+            return g
+
+        return GradientFunction(3, gradient)
+
+    config = RunConfig(eta=0.1, max_iters=20, record_trajectory=record)
+    x0 = np.array([1.0, -0.5, 0.25])
+    with pytest.raises(NumericError, match="gradient") as got:
+        run(objective(), x0, config, RatioSigma())
+    with pytest.raises(NumericError) as expect:
+        _replay(objective(), x0, config, RatioSigma())
+    assert got.value.iteration == expect.value.iteration == step
+    assert np.array_equal(got.value.iterate, expect.value.iterate)
+    if record:
+        assert np.array_equal(got.value.trajectory, expect.value.trajectory)
+    else:
+        assert got.value.trajectory is None
+
+
+def test_overflowing_iterate_raises_at_the_replay_step():
+    objective = GradientFunction(2, lambda x: 1e200 * np.sign(x + 0.5))
+    config = RunConfig(eta=1e110, max_iters=50)
+    x0 = np.array([1.0, 1.0])
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="iterate") as got:
+            run(objective, x0, config, ConstantSigma(0.0))
+        with pytest.raises(NumericError) as expect:
+            _replay(objective, x0, config, ConstantSigma(0.0))
+    assert got.value.iteration == expect.value.iteration == 1
+    assert np.array_equal(got.value.iterate, expect.value.iterate)
+
+
+@pytest.mark.parametrize("n", [3, 64])
+def test_finite_gradient_whose_squares_overflow_runs_on(n):
+    # every entry is finite, so no NumericError: the norm is inf, with the
+    # overflow warning np.linalg.norm gives, and no rule fires on it
+    objective = GradientFunction(n, lambda x: np.full(n, 1e200))
+    x0 = np.linspace(-1.0, 1.0, n)
+    for config in (RunConfig(eta=1e-200, max_iters=4),
+                   RunConfig(eta=1e-200, max_iters=4, eps_stationary=1.0,
+                             escape_radius=1e3)):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            result = run(objective, x0, config, RatioSigma())
+        assert result.final_grad_norm == math.inf
+        assert result.status is RunStatus.MAX_ITERS
+        assert result.iterations_used == 4
+        with np.errstate(over="ignore"):
+            _assert_matches_replay(objective, x0, config, RatioSigma())
+
+
+def test_finite_iterate_whose_squares_overflow_runs_on_without_warning():
+    # entries near 1e155 are finite, though their squares overflow; with no
+    # escape radius nothing looks at the norm, and nothing warns
+    objective = GradientFunction(2, lambda x: np.full(2, -1e150))
+    result = _assert_matches_replay(objective, np.zeros(2),
+                                    RunConfig(eta=1e5, max_iters=3),
+                                    ConstantSigma(0.0))
+    assert result.status is RunStatus.MAX_ITERS
+    assert np.all(result.final_point == 3e155)
+
+
+@pytest.mark.parametrize("convert", [list, lambda g: g.astype(np.float32)])
+def test_list_and_float32_gradients_still_run(rng, convert):
+    d = rng.uniform(0.5, 2.0, 5)
+    objective = GradientFunction(5, lambda x: convert(d * x))
+    result = _assert_matches_replay(
+        objective, rng.standard_normal(5),
+        RunConfig(eta=0.1, max_iters=200, eps_stationary=1e-3),
+        PlateauSigma(8))
+    assert result.status is RunStatus.REACHED_STATIONARY
+
+
+def test_gradient_of_the_wrong_shape_is_rejected():
+    for shape in ((2,), (3, 1), ()):
+        objective = GradientFunction(3, lambda x, s=shape: np.zeros(s))
+        with pytest.raises(ValueError, match="gradient shape"):
+            run(objective, np.ones(3), RunConfig(eta=0.1, max_iters=5),
+                ConstantSigma(0.0))
