@@ -182,16 +182,16 @@ def run(objective, x0, config, schedule):
     ``REACHED_STATIONARY``.  With ``ConstantSigma(0)`` the smoothing system
     is the identity and this is plain gradient descent.
 
-    Each step checks each vector once.  The gradient is converted to a
-    float array and its shape checked, and its squared norm (the one
-    ``final_grad_norm`` and the stationarity test take) doubles as its
-    finiteness test; the new iterate's squared norm does the same, and the
-    next step's escape test reuses it.  A sum of squares is finite only if
-    every entry is, and only where it is not does the exact entrywise test
-    run, so a finite vector whose squares overflow still passes.  The step
-    then calls the default solve route of
-    :class:`~smoothgd.smoothing.CirculantSmoother` without its input
-    checks, which this gradient has already passed.
+    The gradient is converted to a float array and its shape checked, and
+    its squared norm (the one ``final_grad_norm`` and the stationarity test
+    take) doubles as its finiteness test; the new iterate's squared norm
+    does the same, and the next step's escape test reuses it.  A sum of
+    squares is finite only if every entry is, and only where it is not does
+    the exact entrywise test run, so a finite vector whose squares overflow
+    still passes (its norm is then inf, without a warning).  The step
+    solves through the public
+    :meth:`~smoothgd.smoothing.CirculantSmoother.solve`, whose input check
+    tests the gradient the same way once more.
 
     Raises :class:`NumericError` if an iterate or gradient turns non-finite;
     the exception carries the partial trajectory when recording is on.
@@ -220,13 +220,9 @@ def run(objective, x0, config, schedule):
         # in memory order, then sqrt), without its dispatch overhead
         flat = grad.ravel(order="K")
         gg = np.vdot(flat, flat)
-        if not gg < math.inf:
-            if not np.isfinite(grad).all():
-                raise NumericError("gradient has non-finite entries",
-                                   x.copy(), k, trajectory)
-            # finite entries whose squares overflow: the norm is inf, with
-            # the overflow warning np.linalg.norm gives
-            gg = flat.dot(flat)
+        if not gg < math.inf and not np.isfinite(grad).all():
+            raise NumericError("gradient has non-finite entries", x.copy(), k,
+                               trajectory)
         gnorm = math.sqrt(gg)
         if gnorm <= config.eps_stationary:
             status = RunStatus.REACHED_STATIONARY
@@ -242,7 +238,7 @@ def run(objective, x0, config, schedule):
         if smoother is None or sigma != sigma_prev:
             smoother = CirculantSmoother(objective.dim, sigma)
             sigma_prev = sigma
-        x = x - config.eta * smoother._solve(grad)
+        x = x - config.eta * smoother.solve(grad)
         k += 1
         xx = np.vdot(x, x)
         if not xx < math.inf and not np.isfinite(x).all():

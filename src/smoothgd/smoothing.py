@@ -137,7 +137,12 @@ class CirculantSmoother:
             raise ValueError(
                 f"expected shape ({self._n},) or ({self._n}, k), "
                 f"got {x.shape}")
-        if not np.isfinite(x).all():
+        # a sum of squares is finite only if every entry is; the exact
+        # entrywise test runs only where it is not, so finite entries whose
+        # squares overflow still pass.  np.vdot checks no floating-point
+        # flags, so the overflow costs no warning.
+        flat = x.ravel(order="K")
+        if not np.vdot(flat, flat) < math.inf and not np.isfinite(x).all():
             raise ValueError("input has non-finite entries")
         return x
 
@@ -171,10 +176,7 @@ class CirculantSmoother:
         mode by the reciprocal eigenvalues, and transformed back.  At
         sigma = 0 it returns a copy of y, exactly as Thomas does.
         """
-        return self._solve_dft(self._check(y))
-
-    def _solve_dft(self, y):
-        # the route itself, on a y that has passed _check
+        y = self._check(y)
         if self._sigma == 0.0:
             return y.copy()
         # irfft(weights * rfft(y)) along axis 0.  The spectrum is even in
@@ -242,10 +244,7 @@ class CirculantSmoother:
         large sigma, it raises ArithmeticError instead of returning inf or
         NaN.
         """
-        return self._solve_thomas(self._check(y))
-
-    def _solve_thomas(self, y):
-        # the route itself, on a y that has passed _check
+        y = self._check(y)
         if self._sigma == 0.0:
             return y.copy()
         denom, q, v_dot_q, gamma = self._thomas_factors()
@@ -266,15 +265,9 @@ class CirculantSmoother:
         behaviour is tested and where a Fourier solve's round-off lets more
         antisymmetric starts escape, keep Thomas's exact arithmetic.
         """
-        return self._solve(self._check(y))
-
-    def _solve(self, y):
-        # the default route on a y that has passed _check, or that the
-        # caller has checked the same way: a float array of shape (n,) or
-        # (n, k) with finite entries.  run() steps through this directly.
         if self._n < _FOURIER_FROM_N:
-            return self._solve_thomas(y)
-        return self._solve_dft(y)
+            return self.solve_thomas(y)
+        return self.solve_dft(y)
 
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.

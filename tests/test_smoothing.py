@@ -372,3 +372,23 @@ def test_validation():
         op.solve(np.zeros(5))
     with pytest.raises(ValueError):
         op.apply(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n", [3, 64])
+@pytest.mark.parametrize("method", ["solve", "solve_thomas", "solve_dft",
+                                    "apply", "inv_sqrt_apply"])
+def test_input_check_finds_every_non_finite_entry(rng, n, method):
+    # the check reads finiteness off the sum of squares; it must still
+    # reject each single NaN or inf, in vectors, batches and strided views
+    # of them, and pass finite entries whose squares overflow, silently
+    call = getattr(CirculantSmoother(n, 0.5), method)
+    batch = rng.standard_normal((n, 3))
+    for y in (batch[:, 0], batch, np.asfortranarray(batch), batch[:, ::2],
+              batch.T.copy().T):
+        for bad in (np.nan, np.inf, -np.inf):
+            for i in range(y.size):
+                z = y.copy(order="K")
+                z.flat[i] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    call(z)
+        assert np.isfinite(call(1e200 * y)).all()
