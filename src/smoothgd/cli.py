@@ -36,9 +36,10 @@ from .saddle import (
 )
 from .experiments import (
     PolarGrid,
+    _fine_window,
+    _two_scale,
     atomic_write,
     emit_csv,
-    two_scale_search,
     write_summary_json,
 )
 
@@ -315,16 +316,14 @@ def _cmd_sweep(args):
         theta_step_deg=args.coarse_theta_step)
     # the fine window is built around the coarse argmin later; check its
     # flags now, centred on 0, so they fail as usage errors too
-    _from_flags(
-        PolarGrid,
-        r_min=args.r_min, r_max=args.r_min, r_step=args.r_step,
-        theta_min_deg=-args.halfwidth, theta_max_deg=args.halfwidth,
-        theta_step_deg=args.fine_theta_step)
+    _from_flags(_fine_window, args.r_min, 0.0, args.r_step, args.halfwidth,
+                args.fine_theta_step)
     config = _from_flags(RunConfig, eta=args.eta, max_iters=args.iters)
-    coarse, fine, summary = two_scale_search(
-        objective, grid, config, schedule,
-        refine_halfwidth_deg=args.halfwidth,
-        fine_step_deg=args.fine_theta_step)
+    # the coarse field is built only to be written; otherwise the coarse
+    # grid is reduced to its argmin block by block
+    coarse, fine, summary = _two_scale(
+        objective, grid, config, schedule, args.halfwidth,
+        args.fine_theta_step, keep_coarse=args.coarse_out is not None)
     if args.coarse_out is not None:
         emit_csv(coarse, args.coarse_out)
     if args.out is not None:

@@ -9,9 +9,9 @@ the run configuration alone:
   (``eps_stationary == 0`` and ``escape_radius == inf``, the CLI default),
   every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  The
   step kernel advances the two unit vectors to give T's columns, T is
-  applied to all cells at once, and each cell's status comes from its
-  final point.  If T is not finite, the sweep falls back to the step
-  kernel for the whole grid.
+  applied to the grid in blocks of at most 65536 cells, and each cell's
+  status comes from its final point.  If T is not finite, the sweep falls
+  back to the step kernel for the whole grid.
 * **Step kernel.**  Otherwise all grid cells advance together as flat
   arrays, one schedule step at a time; termination checks mirror
   :func:`smoothgd.optimizers.run` cell by cell, in the same order
@@ -21,6 +21,12 @@ the run configuration alone:
 
 The kernel is the only code that takes a step, and it is the reference the
 tests compare the step-map route with.
+
+A two-scale search only needs the coarse grid's argmin.  The CLI builds
+the coarse :class:`DistanceField` only when ``--coarse-out`` asks for it
+(r, theta, x0, distance and status: 41 bytes a cell, plus its CSV);
+otherwise the same blocks are reduced to their argmin as they are
+evaluated, so no coarse array outlives its block.
 """
 
 import contextlib
@@ -66,6 +72,14 @@ _ACTIVE = -1
 # coarse grid (3.6M cells) and bounds a sweep's memory: each of its flat
 # float64 arrays takes 80 MB at this size.
 MAX_GRID_CELLS = 10 ** 7
+
+# Cells the step-map route evaluates at once.  Its temporaries take 512 KB
+# each at this size, whatever the grid; the perfbench coarse grid (36k
+# cells) is one block, the CLI's default one (3.6M) is 60.
+_MAP_BLOCK_CELLS = 1 << 16
+
+_ALL_FAILED = "every cell failed; no summary available"
+_INFINITE_DISTANCE = "non-finite distance on a non-failed cell"
 
 
 @dataclass(frozen=True)
@@ -148,11 +162,7 @@ class DistanceField:
         if not (len(self.theta_deg) == n and self.x0.shape == (n, 2)
                 and len(self.final_distance) == n and len(self.status) == n):
             raise ValueError("field columns have inconsistent lengths")
-        expected0 = self.r * np.cos(np.radians(self.theta_deg))
-        expected1 = self.r * np.sin(np.radians(self.theta_deg))
-        # written so that a NaN anywhere fails the check
-        if n and not (np.max(np.abs(self.x0[:, 0] - expected0)) <= 1e-12
-                      and np.max(np.abs(self.x0[:, 1] - expected1)) <= 1e-12):
+        if n and not _x0_is_polar(self.r, self.theta_deg, self.x0):
             raise ValueError("x0 does not match its polar coordinates")
         if n and not (0 <= np.min(self.status)
                       and np.max(self.status) < len(STATUS_STRINGS)):
@@ -160,7 +170,7 @@ class DistanceField:
                 f"status codes must lie in 0..{len(STATUS_STRINGS) - 1}")
         bad = ~np.isfinite(self.final_distance) & (self.status != _FAILED)
         if np.any(bad):
-            raise ValueError("non-finite distance on a non-failed cell")
+            raise ValueError(_INFINITE_DISTANCE)
 
     def __len__(self):
         return len(self.r)
@@ -172,7 +182,7 @@ class DistanceField:
         """Reduce the field to its extremes, ignoring failed cells."""
         ok = self.status != _FAILED
         if not np.any(ok):
-            raise ValueError("every cell failed; no summary available")
+            raise ValueError(_ALL_FAILED)
         dist = self.final_distance[ok]
         arg = int(np.argmin(dist))
         below = (int(np.sum(dist <= threshold))
@@ -195,6 +205,43 @@ class FieldSummary:
     max_distance: float
     failed_cells: int
     cells_below: int | None = None
+
+
+def _x0_is_polar(r, theta_deg, x0):
+    """Whether x0 = r (cos, sin)(theta) within 1e-12 in every cell.
+
+    A NaN anywhere fails.  On a radius-major product grid, such as
+    :func:`sweep` builds, cos and sin are taken once per angle; any other
+    field, such as rows read out of order, takes them cell by cell.  Both
+    form the same products, so both give the same verdict.
+    """
+    m = _angles_per_radius(r, theta_deg)
+    if m is None:
+        radii, radians = r, np.radians(theta_deg)
+        x00, x01 = x0[:, 0], x0[:, 1]
+    else:
+        radii, radians = r[::m, None], np.radians(theta_deg[:m])
+        x00, x01 = x0[:, 0].reshape(-1, m), x0[:, 1].reshape(-1, m)
+    return bool(np.max(np.abs(x00 - radii * np.cos(radians))) <= 1e-12
+                and np.max(np.abs(x01 - radii * np.sin(radians))) <= 1e-12)
+
+
+def _angles_per_radius(r, theta_deg):
+    """m if the cells are a radius-major product grid, else None.
+
+    m is the first index where r changes (len(r) if it never does).  The
+    grid is a product if r is constant over each run of m cells and every
+    run holds the first run's angles.  A NaN in r or theta fails both.
+    """
+    changes = np.flatnonzero(r[1:] != r[:-1])
+    m = int(changes[0]) + 1 if len(changes) else len(r)
+    if len(r) % m:
+        return None
+    rows = r.reshape(-1, m)
+    if not (np.all(rows == rows[:, :1])
+            and np.all(theta_deg.reshape(-1, m) == theta_deg[:m])):
+        return None
+    return m
 
 
 def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
@@ -287,43 +334,43 @@ def sweep(objective, grid, config, schedule, threads=None):
     The config picks the route.  With ``eps_stationary == 0`` and
     ``escape_radius == inf`` no rule can end a run before the budget, so
     every cell ends at T x0, where T is the accumulated 2x2 step map; it is
-    built by stepping the two unit vectors and applied to all cells at
-    once.  A cell is ``failed`` if its final point or gradient is not
+    built by stepping the two unit vectors and applied to the grid block
+    by block.  A cell is ``failed`` if its final point or gradient is not
     finite, ``reached_stationary`` if its final gradient is zero, and
     ``max_iters`` otherwise.  If T itself is not finite, or any
     termination rule is enabled, every cell is stepped by the kernel.
 
     Returns a :class:`DistanceField` in radius-major grid order.
     """
-    if objective.dim != 2:
-        raise ValueError(f"sweeps are 2-d only, got dim {objective.dim}")
+    b = _hessian_entries(objective, config)
     if threads is not None and (not _is_count(threads) or threads < 1):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
-    if config.record_trajectory:
-        raise ValueError("trajectory recording is not supported in sweeps")
     r_vals = grid.r_values()
     t_vals = grid.theta_values()
+    cos, sin = _unit_circle(t_vals)
     r = np.repeat(r_vals, len(t_vals))
     theta = np.tile(t_vals, len(r_vals))
     x0 = np.empty((len(r), 2))
     # cos and sin once per angle; the products are r cos(theta) cell by cell
     polar = x0.reshape(len(r_vals), len(t_vals), 2)
-    radians = np.radians(t_vals)
-    np.multiply(r_vals[:, None], np.cos(radians), out=polar[..., 0])
-    np.multiply(r_vals[:, None], np.sin(radians), out=polar[..., 1])
-    scale = objective.scale
-    b = (scale * objective.matrix[0, 0], scale * objective.matrix[0, 1],
-         scale * objective.matrix[1, 1])
+    np.multiply(r_vals[:, None], cos, out=polar[..., 0])
+    np.multiply(r_vals[:, None], sin, out=polar[..., 1])
 
-    final = None
-    if config.eps_stationary == 0.0 and config.escape_radius == math.inf:
-        final = _map_cells(b, x0, config, schedule)
-    if final is None:
-        final = _advance_cells(*b, x0[:, 0], x0[:, 1], config, schedule)
-    final0, final1, status = final
-
-    distance = np.hypot(final0, final1)
-    distance[status == _FAILED] = math.nan
+    t = _finite_step_map(b, config, schedule)
+    if t is None:
+        final0, final1, status = _advance_cells(*b, x0[:, 0], x0[:, 1],
+                                                config, schedule)
+        distance = _distances(final0, final1, status)
+    else:
+        status = np.empty(len(r), dtype=np.int8)
+        distance = np.empty(len(r))
+        on_grid = (len(r_vals), len(t_vals))
+        status_grid = status.reshape(on_grid)
+        distance_grid = distance.reshape(on_grid)
+        at_budget = replace(config, max_iters=0)
+        for rows, cols in _grid_blocks(*on_grid):
+            status_grid[rows, cols], distance_grid[rows, cols] = _map_block(
+                b, t, r_vals[rows], cos[cols], sin[cols], at_budget, schedule)
     metadata = {
         "objective": objective.describe(),
         "eta": config.eta,
@@ -337,20 +384,109 @@ def sweep(objective, grid, config, schedule, threads=None):
                          metadata=metadata)
 
 
-def _map_cells(b, x0, config, schedule):
-    """Final points and statuses from the accumulated step map T.
+def _hessian_entries(objective, config):
+    """(b00, b01, b11) of the scaled 2x2 Hessian, once the objective and
+    config pass a sweep's checks."""
+    if objective.dim != 2:
+        raise ValueError(f"sweeps are 2-d only, got dim {objective.dim}")
+    if config.record_trajectory:
+        raise ValueError("trajectory recording is not supported in sweeps")
+    scale = objective.scale
+    return (scale * objective.matrix[0, 0], scale * objective.matrix[0, 1],
+            scale * objective.matrix[1, 1])
 
-    Only valid when no termination rule can fire before the budget.  The
-    kernel steps the unit vectors to T's columns; T x0 is then checked at
-    the budget by the kernel itself, so statuses follow its order.
-    Returns None if T is not finite.
+
+def _unit_circle(theta_deg):
+    """(cos, sin) of angles in degrees."""
+    radians = np.radians(theta_deg)
+    return np.cos(radians), np.sin(radians)
+
+
+def _distances(final0, final1, status):
+    """|final point| per cell, NaN on failed cells."""
+    distance = np.hypot(final0, final1)
+    distance[status == _FAILED] = math.nan
+    return distance
+
+
+def _finite_step_map(b, config, schedule):
+    """T's entries if the step-map route applies, else None.
+
+    It applies when no termination rule can fire before the budget and T,
+    from stepping the unit vectors, is finite.
     """
-    t00, t01, t10, t11 = _step_map(b, config, schedule)
-    if not all(map(math.isfinite, (t00, t01, t10, t11))):
+    if config.eps_stationary != 0.0 or config.escape_radius != math.inf:
         return None
-    f0 = t00 * x0[:, 0] + t01 * x0[:, 1]
-    f1 = t10 * x0[:, 0] + t11 * x0[:, 1]
-    return _advance_cells(*b, f0, f1, replace(config, max_iters=0), schedule)
+    t = _step_map(b, config, schedule)
+    return t if all(map(math.isfinite, t)) else None
+
+
+def _grid_blocks(n_r, n_theta):
+    """(rows, cols) slices covering an n_r x n_theta grid in radius-major
+    order, each block at most _MAP_BLOCK_CELLS cells.  A block spans
+    several radii only when it holds all their angles, so the cells of
+    each block, row by row, follow the grid's order."""
+    cols_per = min(n_theta, _MAP_BLOCK_CELLS)
+    rows_per = max(1, _MAP_BLOCK_CELLS // n_theta)
+    for r_lo in range(0, n_r, rows_per):
+        for c_lo in range(0, n_theta, cols_per):
+            yield (slice(r_lo, r_lo + rows_per),
+                   slice(c_lo, c_lo + cols_per))
+
+
+def _map_block(b, t, radii, cos, sin, at_budget, schedule):
+    """Statuses and distances of T x0 on a block of the step-map route.
+
+    The starts are ``radii`` times each angle's (cos, sin); both results
+    are (len(radii), len(cos)) arrays.  The kernel checks T x0 at the
+    budget (``at_budget`` is the config with ``max_iters = 0``), so the
+    statuses follow its order.
+    """
+    t00, t01, t10, t11 = t
+    x00 = radii[:, None] * cos
+    x01 = radii[:, None] * sin
+    f0 = t00 * x00 + t01 * x01
+    f1 = t10 * x00 + t11 * x01
+    final0, final1, status = _advance_cells(*b, f0.ravel(), f1.ravel(),
+                                            at_budget, schedule)
+    return (status.reshape(f0.shape),
+            _distances(final0, final1, status).reshape(f0.shape))
+
+
+def _coarse_argmin(objective, grid, config, schedule):
+    """(r, theta_deg) of the grid's closest final point, without a field.
+
+    The result is ``sweep(...).summary()``'s argmin: failed cells are
+    skipped, the first of equal distances in grid order wins, and a grid
+    whose every cell failed raises that summary's ValueError.  On the
+    step-map route the grid is evaluated block by block and only the
+    running argmin is kept; otherwise the field is swept and summarised.
+    """
+    b = _hessian_entries(objective, config)
+    t = _finite_step_map(b, config, schedule)
+    if t is None:
+        pivot = sweep(objective, grid, config, schedule).summary()
+        return pivot.argmin_r, pivot.argmin_theta_deg
+    r_vals = grid.r_values()
+    t_vals = grid.theta_values()
+    cos, sin = _unit_circle(t_vals)
+    at_budget = replace(config, max_iters=0)
+    best, best_at = math.inf, None
+    for rows, cols in _grid_blocks(len(r_vals), len(t_vals)):
+        status, distance = _map_block(b, t, r_vals[rows], cos[cols],
+                                      sin[cols], at_budget, schedule)
+        # a failed cell's distance is NaN, so inf is a non-failed one's
+        if np.isinf(distance).any():
+            raise ValueError(_INFINITE_DISTANCE)
+        ok = status != _FAILED
+        if not ok.all():
+            distance = np.where(ok, distance, math.inf)
+        i, j = np.unravel_index(np.argmin(distance), distance.shape)
+        if distance[i, j] < best:   # an equal later block never wins
+            best, best_at = distance[i, j], (rows.start + i, cols.start + j)
+    if best_at is None:
+        raise ValueError(_ALL_FAILED)
+    return float(r_vals[best_at[0]]), float(t_vals[best_at[1]])
 
 
 # Inside _sharing_step_maps, the step maps built so far, by (b, config,
@@ -405,18 +541,40 @@ def two_scale_search(objective, coarse_grid, config, schedule,
     Both sweeps have the same objective, config and schedule, so on the
     step-map route T is built once and serves both.
     """
+    return _two_scale(objective, coarse_grid, config, schedule,
+                      refine_halfwidth_deg, fine_step_deg, keep_coarse=True)
+
+
+def _two_scale(objective, coarse_grid, config, schedule, halfwidth_deg,
+               fine_step_deg, keep_coarse):
+    """:func:`two_scale_search`; without ``keep_coarse`` the coarse grid is
+    only reduced to its argmin (:func:`_coarse_argmin`), and None stands
+    in for the coarse field.  The fine sweep is the same either way.
+    """
     with _sharing_step_maps():
-        coarse = sweep(objective, coarse_grid, config, schedule)
-        pivot = coarse.summary()
-        fine_grid = PolarGrid(
-            r_min=pivot.argmin_r, r_max=pivot.argmin_r,
-            r_step=coarse_grid.r_step,
-            theta_min_deg=pivot.argmin_theta_deg - refine_halfwidth_deg,
-            theta_max_deg=pivot.argmin_theta_deg + refine_halfwidth_deg,
-            theta_step_deg=fine_step_deg,
-        )
+        coarse = None
+        if keep_coarse:
+            coarse = sweep(objective, coarse_grid, config, schedule)
+            pivot = coarse.summary()
+            r, theta = pivot.argmin_r, pivot.argmin_theta_deg
+        else:
+            r, theta = _coarse_argmin(objective, coarse_grid, config,
+                                      schedule)
+        fine_grid = _fine_window(r, theta, coarse_grid.r_step,
+                                 halfwidth_deg, fine_step_deg)
         fine = sweep(objective, fine_grid, config, schedule)
     return coarse, fine, fine.summary()
+
+
+def _fine_window(r, theta_deg, r_step, halfwidth_deg, fine_step_deg):
+    """The fine grid: radius r and the angles within halfwidth_deg of
+    theta_deg, at fine_step_deg."""
+    return PolarGrid(
+        r_min=r, r_max=r, r_step=r_step,
+        theta_min_deg=theta_deg - halfwidth_deg,
+        theta_max_deg=theta_deg + halfwidth_deg,
+        theta_step_deg=fine_step_deg,
+    )
 
 
 @dataclass(frozen=True)

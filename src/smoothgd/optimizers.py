@@ -268,17 +268,35 @@ def stationarity_iteration_bound(c_bound, lipschitz, f0, fstar, eps):
     Returns the real-valued bound 2 (1+4C)^2 L (f0 - fstar) / ((1+8C) eps^2).
     Each check is written so that a NaN fails it, as RunConfig's are.  An
     infinite C fails too: the bound's factor (1+4C)^2 / (1+8C) would be
-    inf / inf.
+    inf / inf.  So do an infinite L, f0 or fstar, and a bound that is not
+    a finite float (its denominator underflows to 0, or it overflows):
+    callers take its ceiling.
     """
     if not (math.isfinite(c_bound) and c_bound >= 0.0):
         raise ValueError(
             f"schedule bound must be finite and >= 0, got {c_bound}")
-    if not lipschitz > 0.0:
-        raise ValueError(f"lipschitz must be > 0, got {lipschitz}")
+    if not (lipschitz > 0.0 and math.isfinite(lipschitz)):
+        raise ValueError(f"lipschitz must be > 0 and finite, got {lipschitz}")
     if not eps > 0.0:
         raise ValueError(f"eps must be > 0, got {eps}")
+    if not (math.isfinite(f0) and math.isfinite(fstar)):
+        raise ValueError(f"f0 and fstar must be finite, got f0 = {f0}, "
+                         f"fstar = {fstar}")
     if not f0 >= fstar:
         raise ValueError(f"f0 must be >= fstar, got f0 = {f0}, "
                          f"fstar = {fstar}")
-    gain = (1.0 + 8.0 * c_bound) / (2.0 * (1.0 + 4.0 * c_bound) ** 2)
-    return (f0 - fstar) * lipschitz / (gain * eps * eps)
+    try:
+        gain = (1.0 + 8.0 * c_bound) / (2.0 * (1.0 + 4.0 * c_bound) ** 2)
+    except OverflowError:   # (1 + 4C)^2 is past the largest float
+        gain = 0.0
+    denominator = gain * eps * eps
+    if not denominator > 0.0:
+        raise ValueError(
+            f"the bound's denominator underflows to 0 at eps = {eps}, "
+            f"C = {c_bound}")
+    bound = (f0 - fstar) * lipschitz / denominator
+    if not bound < math.inf:
+        raise ValueError(
+            f"the bound overflows: L = {lipschitz}, f0 - fstar = "
+            f"{f0 - fstar}, eps = {eps}, C = {c_bound}")
+    return bound

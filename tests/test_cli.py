@@ -210,6 +210,63 @@ def test_sweep_custom(tmp_path, capsys):
     assert data["min_distance"] == pytest.approx(fine.summary().min_distance)
 
 
+def _sweep_outputs(tmp_path, capsys, args, coarse_out):
+    """(stdout, fine CSV bytes, summary JSON bytes) of one CLI sweep."""
+    out, summary = tmp_path / "fine.csv", tmp_path / "summary.json"
+    argv = ["sweep", *args, "--out", str(out), "--summary", str(summary)]
+    if coarse_out:
+        argv += ["--coarse-out", str(tmp_path / "coarse.csv")]
+    assert run_cli(argv) == 0
+    return capsys.readouterr().out, out.read_bytes(), summary.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ["--example", "1", "--coarse-theta-step", "0.5",
+     "--fine-theta-step", "0.001", "--halfwidth", "0.2"],
+    ["--example", "2", "--optimizer", "gd", "--r-max", "0.5",
+     "--coarse-theta-step", "2", "--fine-theta-step", "0.01"],
+])
+def test_sweep_writes_the_same_fine_field_with_or_without_coarse_out(
+        args, tmp_path, capsys):
+    # without --coarse-out the coarse grid is only reduced to its argmin
+    reduced = _sweep_outputs(tmp_path, capsys, args, coarse_out=False)
+    assert not (tmp_path / "coarse.csv").exists()
+    kept = _sweep_outputs(tmp_path, capsys, args, coarse_out=True)
+    assert (tmp_path / "coarse.csv").exists()
+    assert reduced == kept
+
+
+def test_sweep_without_coarse_out_checks_the_coarse_grid_at_the_budget(
+        tmp_path, capsys, monkeypatch):
+    from smoothgd import experiments
+
+    kernel, fine_sweep = experiments._advance_cells, experiments.sweep
+    seen, swept = [], []
+
+    def recording(b00, b01, b11, x0c, x1c, config, schedule):
+        seen.append((len(x0c), config.max_iters))
+        return kernel(b00, b01, b11, x0c, x1c, config, schedule)
+
+    def counting(*args, **kwargs):
+        field = fine_sweep(*args, **kwargs)
+        swept.append(len(field))
+        return field
+
+    monkeypatch.setattr(experiments, "_advance_cells", recording)
+    monkeypatch.setattr(experiments, "sweep", counting)
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 500)
+    _sweep_outputs(tmp_path, capsys,
+                   ["--coarse-theta-step", "1", "--fine-theta-step", "0.1",
+                    "--iters", "60"], coarse_out=False)
+    # T is stepped once on the unit vectors; every grid cell, in blocks,
+    # is checked at the budget, and only the fine grid is swept
+    assert seen[0] == (2, 60)
+    assert all(iters == 0 for _, iters in seen[1:])
+    assert swept == [20]
+    assert sum(cells for cells, _ in seen[1:]) == 10 * 360 + 20
+    assert len(seen) > 10
+
+
 def test_sweep_gd_optimizer(tmp_path, capsys):
     mat = tmp_path / "b.txt"
     write_matrix(mat, [[0.0, 1.0], [1.0, 0.0]])

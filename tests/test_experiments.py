@@ -319,6 +319,71 @@ def test_field_validation_rejects_nan_coordinates(column):
                       status=np.array([1, 1], dtype=np.int8), **columns)
 
 
+def _accepts_polar(r, theta_deg, x0):
+    """Whether DistanceField accepts these coordinates."""
+    n = len(r)
+    try:
+        DistanceField(r=r, theta_deg=theta_deg, x0=x0,
+                      final_distance=np.ones(n),
+                      status=np.ones(n, dtype=np.int8))
+    except ValueError as exc:
+        assert "polar" in str(exc)
+        return False
+    return True
+
+
+def _product_columns():
+    grid = PolarGrid(0.1, 0.4, 0.1, -180.0, 180.0, 30.0)   # 4 x 12 cells
+    r = np.repeat(grid.r_values(), 12)
+    theta = np.tile(grid.theta_values(), 4)
+    return {"r": r, "theta_deg": theta, "x0": _polar_columns(r, theta)}
+
+
+def test_field_x0_check_takes_cos_and_sin_per_angle_on_product_grids():
+    columns = _product_columns()
+    assert experiments._angles_per_radius(columns["r"],
+                                          columns["theta_deg"]) == 12
+    assert _accepts_polar(**columns)
+    # rows out of order, as load_csv gives them from a reordered file, and
+    # a radius whose angles differ from the first radius's are no product
+    order = np.random.default_rng(3).permutation(48)
+    rolled = columns["theta_deg"].copy()
+    rolled[12:24] = np.roll(rolled[12:24], 1)
+    for r, theta in [(columns["r"][order], columns["theta_deg"][order]),
+                     (columns["r"], rolled)]:
+        assert experiments._angles_per_radius(r, theta) is None
+    assert _accepts_polar(**{name: column[order]
+                             for name, column in columns.items()})
+
+
+@pytest.mark.parametrize("column, at, change", [
+    ("x0", (5, 0), 2e-12), ("x0", (17, 1), -2e-12), ("x0", (47, 0), 2e-12),
+    ("x0", (30, 1), 5e-13),   # within the tolerance
+    ("x0", (0, 0), math.nan), ("x0", (40, 1), math.nan),
+    ("r", 0, math.nan), ("r", 13, math.nan), ("r", 47, math.nan),
+    ("theta_deg", 0, math.nan), ("theta_deg", 40, math.nan),
+])
+def test_field_x0_check_per_angle_and_per_cell_agree(column, at, change):
+    columns = _product_columns()
+    columns[column] = columns[column].copy()
+    columns[column][at] += change
+    # the per-cell formula every field was checked with before
+    radians = np.radians(columns["theta_deg"])
+    expected = (np.max(np.abs(columns["x0"][:, 0]
+                              - columns["r"] * np.cos(radians))) <= 1e-12
+                and np.max(np.abs(columns["x0"][:, 1]
+                                  - columns["r"] * np.sin(radians))) <= 1e-12)
+    assert expected == (change == 5e-13)
+    if column == "x0":
+        assert experiments._angles_per_radius(columns["r"],
+                                              columns["theta_deg"]) == 12
+    order = np.random.default_rng(5).permutation(48)
+    shuffled = {name: values[order] for name, values in columns.items()}
+    assert experiments._angles_per_radius(shuffled["r"],
+                                          shuffled["theta_deg"]) is None
+    assert _accepts_polar(**columns) == _accepts_polar(**shuffled) == expected
+
+
 @pytest.mark.parametrize("code", [-1, 4, 9])
 def test_field_validation_rejects_unknown_status_codes(code):
     r = np.array([0.1, 0.2])
@@ -413,6 +478,110 @@ def test_two_scale_search_builds_the_step_map_once(monkeypatch):
     _same_field(again[1], fine)
     assert again[2] == summary
     assert experiments._step_maps.get() is None
+
+
+REDUCER_CASES = {
+    "example 1": canonical_objective(2, scale=2.0),
+    "example 2": QuadraticObjective(np.array([[2.0, 6.0], [6.0, 4.0]])),
+    "custom saddle": _rotated_saddle(),
+}
+
+
+@pytest.mark.parametrize("schedule", [ConstantSigma(0.0), RatioSigma()],
+                         ids=["gd", "mlsgd"])
+@pytest.mark.parametrize("case", sorted(REDUCER_CASES))
+def test_coarse_argmin_is_the_argmin_of_the_swept_field(case, schedule,
+                                                        monkeypatch):
+    objective = REDUCER_CASES[case]
+    grid = PolarGrid(0.1, 0.5, 0.1, -180.0, 180.0, 1.0)   # 5 x 360 cells
+    config = RunConfig(eta=0.1, max_iters=100)
+    whole = sweep(objective, grid, config, schedule)
+    pivot = whole.summary()
+    argmin = (pivot.argmin_r, pivot.argmin_theta_deg)
+    assert experiments._coarse_argmin(objective, grid, config,
+                                      schedule) == argmin
+    # blocks of part of a radius, and of two whole radii
+    for cells in (7, 1000):
+        monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", cells)
+        _same_field(sweep(objective, grid, config, schedule), whole)
+        assert experiments._coarse_argmin(objective, grid, config,
+                                          schedule) == argmin
+
+
+def test_coarse_argmin_keeps_the_first_of_ties_across_blocks(monkeypatch):
+    # on a round bowl T = 0.9^20 I, and every cell of the smaller radius
+    # ends at the same distance
+    objective = QuadraticObjective(np.eye(2))
+    grid = PolarGrid(0.1, 0.2, 0.1, -45.0, 315.0, 45.0)   # 2 x 8 cells
+    config = RunConfig(eta=0.1, max_iters=20)
+    field = sweep(objective, grid, config, ConstantSigma(0.0))
+    ties = np.flatnonzero(field.final_distance == field.final_distance.min())
+    assert len(ties) == 8
+    pivot = field.summary()
+    assert (pivot.argmin_r, pivot.argmin_theta_deg) == (0.1, -45.0)
+    for cells in (1, 3, 5, 8, 16):
+        monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", cells)
+        assert experiments._coarse_argmin(
+            objective, grid, config, ConstantSigma(0.0)) == (0.1, -45.0)
+
+
+# gd on B = diag(0, -1) with eta 1201 grows the second coordinate by 1202
+# per step: T = diag(1, 1202^100), about 1e308, so a start whose second
+# coordinate is above 1.8 overflows to a failed cell
+_OVERFLOWING = (QuadraticObjective(np.diag([0.0, -1.0])),
+                RunConfig(eta=1201.0, max_iters=100))
+
+
+@pytest.mark.parametrize("cells", [1 << 16, 3])
+def test_coarse_argmin_skips_failed_cells(cells, monkeypatch):
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", cells)
+    objective, config = _OVERFLOWING
+    grid = PolarGrid(4.0, 5.0, 1.0, -180.0, 180.0, 45.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = sweep(objective, grid, config, ConstantSigma(0.0))
+        argmin = experiments._coarse_argmin(objective, grid, config,
+                                            ConstantSigma(0.0))
+    failed = field.status_strings() == "failed"
+    pivot = field.summary()
+    # failed cells come before the closest one, at 0 degrees
+    assert (pivot.argmin_r, pivot.argmin_theta_deg) == (4.0, 0.0)
+    assert failed[:4].any() and not failed.all()
+    assert argmin == (4.0, 0.0)
+
+
+@pytest.mark.parametrize("eta", [1201.0, 1e200])
+def test_coarse_argmin_raises_the_summary_error_if_every_cell_failed(eta):
+    # at eta 1201 T is finite and every start's second coordinate is
+    # above 1.8; at 1e200 T itself overflows and the field is swept
+    objective = _OVERFLOWING[0]
+    config = RunConfig(eta=eta, max_iters=100)
+    grid = PolarGrid(4.0, 5.0, 1.0, 45.0, 135.0, 45.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        field = sweep(objective, grid, config, ConstantSigma(0.0))
+        assert set(field.status_strings()) == {"failed"}
+        with pytest.raises(ValueError) as swept:
+            field.summary()
+        with pytest.raises(ValueError) as reduced:
+            experiments._coarse_argmin(objective, grid, config,
+                                       ConstantSigma(0.0))
+    assert str(reduced.value) == str(swept.value)
+    assert "every cell failed" in str(reduced.value)
+
+
+def test_coarse_argmin_rejects_an_infinite_distance_as_sweep_does():
+    # T = 1202^100 I on B = -I: both coordinates stay finite, and their
+    # hypot overflows
+    objective = QuadraticObjective(-np.eye(2))
+    config = RunConfig(eta=1201.0, max_iters=100)
+    grid = PolarGrid(2.0, 2.0, 1.0, 40.0, 50.0, 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError) as swept:
+            sweep(objective, grid, config, ConstantSigma(0.0))
+        with pytest.raises(ValueError) as reduced:
+            experiments._coarse_argmin(objective, grid, config,
+                                       ConstantSigma(0.0))
+    assert str(reduced.value) == str(swept.value)
+    assert "non-finite distance" in str(reduced.value)
 
 
 def test_rate_check_within_bound():

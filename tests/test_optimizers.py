@@ -183,6 +183,25 @@ def test_iteration_bound_values():
         stationarity_iteration_bound(math.inf, 1.0, 1.0, 0.0, 0.1)
 
 
+@pytest.mark.parametrize("args, message", [
+    # inf - inf would give a NaN bound
+    ((0.0, 1.0, math.inf, math.inf, 0.1), "f0 and fstar must be finite"),
+    ((0.0, 1.0, 1.0, -math.inf, 0.1), "f0 and fstar must be finite"),
+    # 0 * inf would give a NaN bound
+    ((0.0, math.inf, 1.0, 1.0, 0.1), "lipschitz must be > 0 and finite"),
+    # eps * eps is 0 in floats: the bound would divide by zero
+    ((0.0, 1.0, 1.0, 0.0, 1e-200), "underflows"),
+    ((1e200, 1.0, 1.0, 0.0, 0.1), "underflows"),
+    # rate_check takes the ceiling of the bound, which inf has none of
+    ((0.0, 1e300, 1e300, 0.0, 1e-10), "overflows"),
+    ((0.0, 1.0, 1e308, -1e308, 0.1), "overflows"),
+])
+def test_iteration_bound_rejects_a_bound_that_is_not_a_finite_float(
+        args, message):
+    with pytest.raises(ValueError, match=message):
+        stationarity_iteration_bound(*args)
+
+
 def test_nonsymmetric_matrix_rejected():
     with pytest.raises(ValueError):
         QuadraticObjective(np.array([[1.0, 2.0], [0.0, 1.0]]))
