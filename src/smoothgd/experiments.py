@@ -162,7 +162,11 @@ class DistanceField:
         if not (len(self.theta_deg) == n and self.x0.shape == (n, 2)
                 and len(self.final_distance) == n and len(self.status) == n):
             raise ValueError("field columns have inconsistent lengths")
-        if n and not _x0_is_polar(self.r, self.theta_deg, self.x0):
+        expected0 = self.r * np.cos(np.radians(self.theta_deg))
+        expected1 = self.r * np.sin(np.radians(self.theta_deg))
+        # written so that a NaN anywhere fails the check
+        if n and not (np.max(np.abs(self.x0[:, 0] - expected0)) <= 1e-12
+                      and np.max(np.abs(self.x0[:, 1] - expected1)) <= 1e-12):
             raise ValueError("x0 does not match its polar coordinates")
         if n and not (0 <= np.min(self.status)
                       and np.max(self.status) < len(STATUS_STRINGS)):
@@ -205,43 +209,6 @@ class FieldSummary:
     max_distance: float
     failed_cells: int
     cells_below: int | None = None
-
-
-def _x0_is_polar(r, theta_deg, x0):
-    """Whether x0 = r (cos, sin)(theta) within 1e-12 in every cell.
-
-    A NaN anywhere fails.  On a radius-major product grid, such as
-    :func:`sweep` builds, cos and sin are taken once per angle; any other
-    field, such as rows read out of order, takes them cell by cell.  Both
-    form the same products, so both give the same verdict.
-    """
-    m = _angles_per_radius(r, theta_deg)
-    if m is None:
-        radii, radians = r, np.radians(theta_deg)
-        x00, x01 = x0[:, 0], x0[:, 1]
-    else:
-        radii, radians = r[::m, None], np.radians(theta_deg[:m])
-        x00, x01 = x0[:, 0].reshape(-1, m), x0[:, 1].reshape(-1, m)
-    return bool(np.max(np.abs(x00 - radii * np.cos(radians))) <= 1e-12
-                and np.max(np.abs(x01 - radii * np.sin(radians))) <= 1e-12)
-
-
-def _angles_per_radius(r, theta_deg):
-    """m if the cells are a radius-major product grid, else None.
-
-    m is the first index where r changes (len(r) if it never does).  The
-    grid is a product if r is constant over each run of m cells and every
-    run holds the first run's angles.  A NaN in r or theta fails both.
-    """
-    changes = np.flatnonzero(r[1:] != r[:-1])
-    m = int(changes[0]) + 1 if len(changes) else len(r)
-    if len(r) % m:
-        return None
-    rows = r.reshape(-1, m)
-    if not (np.all(rows == rows[:, :1])
-            and np.all(theta_deg.reshape(-1, m) == theta_deg[:m])):
-        return None
-    return m
 
 
 def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
@@ -370,7 +337,8 @@ def sweep(objective, grid, config, schedule, threads=None):
         at_budget = replace(config, max_iters=0)
         for rows, cols in _grid_blocks(*on_grid):
             status_grid[rows, cols], distance_grid[rows, cols] = _map_block(
-                b, t, r_vals[rows], cos[cols], sin[cols], at_budget, schedule)
+                b, t, polar[rows, cols, 0], polar[rows, cols, 1], at_budget,
+                schedule)
     metadata = {
         "objective": objective.describe(),
         "eta": config.eta,
@@ -434,17 +402,15 @@ def _grid_blocks(n_r, n_theta):
                    slice(c_lo, c_lo + cols_per))
 
 
-def _map_block(b, t, radii, cos, sin, at_budget, schedule):
+def _map_block(b, t, x00, x01, at_budget, schedule):
     """Statuses and distances of T x0 on a block of the step-map route.
 
-    The starts are ``radii`` times each angle's (cos, sin); both results
-    are (len(radii), len(cos)) arrays.  The kernel checks T x0 at the
-    budget (``at_budget`` is the config with ``max_iters = 0``), so the
-    statuses follow its order.
+    x00 and x01 are the block's start components, (rows, cols) arrays of
+    the grid; both results have their shape.  The kernel checks T x0 at
+    the budget (``at_budget`` is the config with ``max_iters = 0``), so
+    the statuses follow its order.
     """
     t00, t01, t10, t11 = t
-    x00 = radii[:, None] * cos
-    x01 = radii[:, None] * sin
     f0 = t00 * x00 + t01 * x01
     f1 = t10 * x00 + t11 * x01
     final0, final1, status = _advance_cells(*b, f0.ravel(), f1.ravel(),
@@ -473,8 +439,9 @@ def _coarse_argmin(objective, grid, config, schedule):
     at_budget = replace(config, max_iters=0)
     best, best_at = math.inf, None
     for rows, cols in _grid_blocks(len(r_vals), len(t_vals)):
-        status, distance = _map_block(b, t, r_vals[rows], cos[cols],
-                                      sin[cols], at_budget, schedule)
+        radii = r_vals[rows, None]
+        status, distance = _map_block(b, t, radii * cos[cols],
+                                      radii * sin[cols], at_budget, schedule)
         # a failed cell's distance is NaN, so inf is a non-failed one's
         if np.isinf(distance).any():
             raise ValueError(_INFINITE_DISTANCE)

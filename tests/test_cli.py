@@ -3,6 +3,8 @@
 import argparse
 import json
 import math
+import runpy
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -449,6 +451,14 @@ def test_help_golden(name, args, capsys, monkeypatch):
     golden = (DATA / f"help_{name}.txt").read_text()
     assert capsys.readouterr().out == golden
 
+
+def test_python_dash_m_smoothgd_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", ["smoothgd", "--version"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("smoothgd", run_name="__main__")
+    assert info.value.code == 0
+    assert "smoothgd" in capsys.readouterr().out
 
 def test_parser_is_built_once_and_reused(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")

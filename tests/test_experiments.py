@@ -339,23 +339,6 @@ def _product_columns():
     return {"r": r, "theta_deg": theta, "x0": _polar_columns(r, theta)}
 
 
-def test_field_x0_check_takes_cos_and_sin_per_angle_on_product_grids():
-    columns = _product_columns()
-    assert experiments._angles_per_radius(columns["r"],
-                                          columns["theta_deg"]) == 12
-    assert _accepts_polar(**columns)
-    # rows out of order, as load_csv gives them from a reordered file, and
-    # a radius whose angles differ from the first radius's are no product
-    order = np.random.default_rng(3).permutation(48)
-    rolled = columns["theta_deg"].copy()
-    rolled[12:24] = np.roll(rolled[12:24], 1)
-    for r, theta in [(columns["r"][order], columns["theta_deg"][order]),
-                     (columns["r"], rolled)]:
-        assert experiments._angles_per_radius(r, theta) is None
-    assert _accepts_polar(**{name: column[order]
-                             for name, column in columns.items()})
-
-
 @pytest.mark.parametrize("column, at, change", [
     ("x0", (5, 0), 2e-12), ("x0", (17, 1), -2e-12), ("x0", (47, 0), 2e-12),
     ("x0", (30, 1), 5e-13),   # within the tolerance
@@ -363,24 +346,14 @@ def test_field_x0_check_takes_cos_and_sin_per_angle_on_product_grids():
     ("r", 0, math.nan), ("r", 13, math.nan), ("r", 47, math.nan),
     ("theta_deg", 0, math.nan), ("theta_deg", 40, math.nan),
 ])
-def test_field_x0_check_per_angle_and_per_cell_agree(column, at, change):
+def test_field_x0_check_in_grid_and_shuffled_order(column, at, change):
     columns = _product_columns()
     columns[column] = columns[column].copy()
     columns[column][at] += change
-    # the per-cell formula every field was checked with before
-    radians = np.radians(columns["theta_deg"])
-    expected = (np.max(np.abs(columns["x0"][:, 0]
-                              - columns["r"] * np.cos(radians))) <= 1e-12
-                and np.max(np.abs(columns["x0"][:, 1]
-                                  - columns["r"] * np.sin(radians))) <= 1e-12)
-    assert expected == (change == 5e-13)
-    if column == "x0":
-        assert experiments._angles_per_radius(columns["r"],
-                                              columns["theta_deg"]) == 12
+    # rows out of order, as load_csv gives them from a reordered file
     order = np.random.default_rng(5).permutation(48)
     shuffled = {name: values[order] for name, values in columns.items()}
-    assert experiments._angles_per_radius(shuffled["r"],
-                                          shuffled["theta_deg"]) is None
+    expected = change == 5e-13
     assert _accepts_polar(**columns) == _accepts_polar(**shuffled) == expected
 
 
