@@ -7,11 +7,13 @@ the run configuration alone:
 
 * **Step map.**  When no termination rule can fire before the budget
   (``eps_stationary == 0`` and ``escape_radius == inf``, the CLI default),
-  every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  The
-  step kernel advances the two unit vectors to give T's columns, T is
-  applied to the grid in blocks of at most 65536 cells, and each cell's
-  status comes from its final point.  If T is not finite, the sweep falls
-  back to the step kernel for the whole grid.
+  every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  T's
+  columns come from stepping the two unit vectors as Python floats
+  through the kernel's own step (:func:`_step`) and stop rules, so T is
+  bit for bit the kernel's; T is applied to the grid in blocks of at most
+  65536 cells, and each cell's status comes from its final point.  If T
+  is not finite, the sweep falls back to the step kernel for the whole
+  grid.
 * **Step kernel.**  Otherwise all grid cells advance together as flat
   arrays, one schedule step at a time; termination checks mirror
   :func:`smoothgd.optimizers.run` cell by cell, in the same order
@@ -19,14 +21,18 @@ the run configuration alone:
   computed on, and a step on which no rule can fire skips the per-cell
   checks.
 
-The kernel is the only code that takes a step, and it is the reference the
+The kernel is the only code that steps a grid, and it is the reference the
 tests compare the step-map route with.
 
 A two-scale search only needs the coarse grid's argmin.  The CLI builds
 the coarse :class:`DistanceField` only when ``--coarse-out`` asks for it
 (r, theta, x0, distance and status: 41 bytes a cell, plus its CSV);
 otherwise the same blocks are reduced to their argmin as they are
-evaluated, so no coarse array outlives its block.
+evaluated, so no coarse array outlives its block.  A field checks its x0
+in the same blocks, and its summary copies no column, so beyond the
+field itself ``--coarse-out`` adds block-sized temporaries and one
+float a cell for the argmin: on the CLI's default grid it peaks near
+190 MB, 148 MB of which is the field.
 """
 
 import contextlib
@@ -34,7 +40,6 @@ import contextvars
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -73,9 +78,10 @@ _ACTIVE = -1
 # float64 arrays takes 80 MB at this size.
 MAX_GRID_CELLS = 10 ** 7
 
-# Cells the step-map route evaluates at once.  Its temporaries take 512 KB
-# each at this size, whatever the grid; the perfbench coarse grid (36k
-# cells) is one block, the CLI's default one (3.6M) is 60.
+# Cells the step-map route evaluates, and DistanceField checks, at once.
+# Their temporaries take 512 KB each at this size, whatever the grid; the
+# perfbench coarse grid (36k cells) is one block, the CLI's default one
+# (3.6M) is 55 to 60.
 _MAP_BLOCK_CELLS = 1 << 16
 
 _ALL_FAILED = "every cell failed; no summary available"
@@ -162,12 +168,15 @@ class DistanceField:
         if not (len(self.theta_deg) == n and self.x0.shape == (n, 2)
                 and len(self.final_distance) == n and len(self.status) == n):
             raise ValueError("field columns have inconsistent lengths")
-        expected0 = self.r * np.cos(np.radians(self.theta_deg))
-        expected1 = self.r * np.sin(np.radians(self.theta_deg))
-        # written so that a NaN anywhere fails the check
-        if n and not (np.max(np.abs(self.x0[:, 0] - expected0)) <= 1e-12
-                      and np.max(np.abs(self.x0[:, 1] - expected1)) <= 1e-12):
-            raise ValueError("x0 does not match its polar coordinates")
+        # in blocks, so the check's temporaries stay small on any field
+        for lo in range(0, n, _MAP_BLOCK_CELLS):
+            rows = slice(lo, lo + _MAP_BLOCK_CELLS)
+            r = self.r[rows]
+            cos, sin = _unit_circle(self.theta_deg[rows])
+            # written so that a NaN anywhere fails the check
+            if not (np.max(np.abs(self.x0[rows, 0] - r * cos)) <= 1e-12
+                    and np.max(np.abs(self.x0[rows, 1] - r * sin)) <= 1e-12):
+                raise ValueError("x0 does not match its polar coordinates")
         if n and not (0 <= np.min(self.status)
                       and np.max(self.status) < len(STATUS_STRINGS)):
             raise ValueError(
@@ -185,18 +194,20 @@ class DistanceField:
     def summary(self, threshold=None):
         """Reduce the field to its extremes, ignoring failed cells."""
         ok = self.status != _FAILED
-        if not np.any(ok):
+        failed = len(ok) - int(np.count_nonzero(ok))
+        if failed == len(ok):
             raise ValueError(_ALL_FAILED)
-        dist = self.final_distance[ok]
-        arg = int(np.argmin(dist))
-        below = (int(np.sum(dist <= threshold))
+        dist = self.final_distance
+        # a non-failed cell's distance is finite, so it beats inf
+        arg = int(np.argmin(np.where(ok, dist, math.inf) if failed else dist))
+        below = (int(np.count_nonzero(ok & (dist <= threshold)))
                  if threshold is not None else None)
         return FieldSummary(
             min_distance=float(dist[arg]),
-            argmin_r=float(self.r[ok][arg]),
-            argmin_theta_deg=float(self.theta_deg[ok][arg]),
-            max_distance=float(np.max(dist)),
-            failed_cells=int(np.sum(~ok)),
+            argmin_r=float(self.r[arg]),
+            argmin_theta_deg=float(self.theta_deg[arg]),
+            max_distance=float(np.max(dist, where=ok, initial=-math.inf)),
+            failed_cells=failed,
             cells_below=below,
         )
 
@@ -238,10 +249,9 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
     eta = config.eta
     live = None   # indices of the cells still running, None while all are
     y0, y1 = x0, x1   # their points
+    g0, g1 = _gradient(b00, b01, b11, y0, y1)
     for k in range(config.max_iters + 1):
         budget = k == config.max_iters
-        g0 = b00 * y0 + b01 * y1
-        g1 = b01 * y0 + b11 * y1
         q = g0 * g0
         q += g1 * g1
         if not (q.min() > eps2 and q.max() < math.inf and (
@@ -268,12 +278,8 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
                 y0, y1, g0, g1 = y0[keep], y1[keep], g0[keep], g1[keep]
         elif budget:
             break
-        sigma = float(schedule(k))
-        if not (math.isfinite(sigma) and sigma >= 0.0):
-            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        s0, s1 = solve_smoothed_pair(sigma, g0, g1)
-        y0 = y0 - eta * s0
-        y1 = y1 - eta * s1
+        y0, y1, g0, g1 = _step(b00, b01, b11, eta, _sigma(schedule, k),
+                               y0, y1, g0, g1)
     if live is None:
         status[:] = _MAX_ITERS
         return y0, y1, status
@@ -281,6 +287,29 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
     x0[live] = y0
     x1[live] = y1
     return x0, x1, status
+
+
+def _gradient(b00, b01, b11, y0, y1):
+    """B y, on arrays of cells or on one point's Python floats."""
+    return b00 * y0 + b01 * y1, b01 * y0 + b11 * y1
+
+
+def _step(b00, b01, b11, eta, sigma, y0, y1, g0, g1):
+    """One smoothed step from y, whose gradient is g: the new point and
+    its gradient.  The kernel takes it on arrays of cells, the step map on
+    Python floats; the operations, and so the roundings, are the same."""
+    s0, s1 = solve_smoothed_pair(sigma, g0, g1)
+    y0 = y0 - eta * s0
+    y1 = y1 - eta * s1
+    return (y0, y1, *_gradient(b00, b01, b11, y0, y1))
+
+
+def _sigma(schedule, k):
+    """The schedule's sigma at step k, rejected as run() rejects it."""
+    sigma = float(schedule(k))
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
 
 
 def sweep(objective, grid, config, schedule, threads=None):
@@ -472,16 +501,42 @@ def _sharing_step_maps():
 
 
 def _step_map(b, config, schedule):
-    """T's entries (t00, t01, t10, t11), from stepping the unit vectors."""
+    """T's entries (t00, t01, t10, t11), from stepping the unit vectors.
+
+    Each unit vector is a point of Python floats, taken through the
+    kernel's :func:`_step`, so T equals the kernel's run on the two unit
+    vectors bit for bit.  The kernel's rules on this route stop a vector
+    where they stop a cell: once its point or gradient is not finite, or
+    its squared gradient norm is 0 (it can underflow to 0 before the
+    point does).  Sigma is taken only while a vector still runs.
+    """
     shared = _step_maps.get()
     key = (b, config, id(schedule))
     if shared is not None and key in shared:
         return shared[key]
-    (t00, t01), (t10, t11), _ = _advance_cells(
-        *b, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config, schedule)
+    b = tuple(map(float, b))   # numpy scalars would make every step slower
+    eta = float(config.eta)
+    columns = [(1.0, 0.0, *_gradient(*b, 1.0, 0.0)),
+               (0.0, 1.0, *_gradient(*b, 0.0, 1.0))]
+    running = [0, 1]
+    for k in range(config.max_iters):
+        running = [j for j in running if _runs_on(*columns[j])]
+        if not running:
+            break
+        sigma = _sigma(schedule, k)
+        for j in running:
+            columns[j] = _step(*b, eta, sigma, *columns[j])
+    (t00, t10, _, _), (t01, t11, _, _) = columns
     if shared is not None:
         shared[key] = (t00, t01, t10, t11)
     return t00, t01, t10, t11
+
+
+def _runs_on(y0, y1, g0, g1):
+    """Whether the kernel, with no tolerance and no escape radius, keeps a
+    cell at point y with gradient g running."""
+    return (math.isfinite(y0) and math.isfinite(y1) and math.isfinite(g0)
+            and math.isfinite(g1) and g0 * g0 + g1 * g1 > 0.0)
 
 
 def _describe_schedule(schedule):
@@ -594,23 +649,34 @@ def rate_check(objective, trials, eps, schedule, seed=0):
     return reports
 
 
+_TEMP_NAME_TRIES = 100   # random names tried before atomic_write gives up
+
+
 def atomic_write(path, text):
     """Write text to path via a sibling temp file and rename.
 
     ``text`` is a string or an iterable of strings written in order, so
     large outputs can be streamed.  The file appears complete or not at
     all: if writing fails, the temp file is removed.  It gets the mode a
-    plain ``open`` would give, 0o666 less the umask.
+    plain ``open`` would give: the operating system takes the umask off
+    0o666 as it creates the temp file.
     """
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)   # the umask can only be read by setting it
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    for _ in range(_TEMP_NAME_TRIES):
+        tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        break
+    else:
+        raise FileExistsError(
+            f"no free temp file name in {directory} after "
+            f"{_TEMP_NAME_TRIES} tries")
     try:
         with os.fdopen(fd, "w") as handle:
-            os.fchmod(handle.fileno(), 0o666 & ~umask)
             handle.writelines(text)
         os.replace(tmp, path)
     except BaseException:
@@ -749,6 +815,7 @@ def _csv_blocks(field):
 def _format_runs(values, out, quad_words):
     """:func:`_format_floats` for a column of runs of bit-equal values,
     such as the radii of a radius-major grid: each run is formatted once.
+    A column of one run, such as a fine grid's radius, is broadcast.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits = values.view(np.uint64)
@@ -756,8 +823,10 @@ def _format_runs(values, out, quad_words):
     starts = np.concatenate([[0], starts])
     text = np.empty((len(starts), _FLOAT_WIDTH), dtype=np.uint8)
     _format_floats(values[starts], text, quad_words)
-    out.view(np.uint64)[...] = np.repeat(
-        text.view(np.uint64), np.diff(starts, append=len(values)), axis=0)
+    words = text.view(np.uint64)
+    if len(starts) > 1:
+        words = np.repeat(words, np.diff(starts, append=len(values)), axis=0)
+    out.view(np.uint64)[...] = words
 
 
 def _format_floats(values, out, quad_words):

@@ -243,7 +243,8 @@ def test_sweep_without_coarse_out_checks_the_coarse_grid_at_the_budget(
     from smoothgd import experiments
 
     kernel, fine_sweep = experiments._advance_cells, experiments.sweep
-    seen, swept = [], []
+    pair_solve = experiments.solve_smoothed_pair
+    seen, swept, solved = [], [], []
 
     def recording(b00, b01, b11, x0c, x1c, config, schedule):
         seen.append((len(x0c), config.max_iters))
@@ -254,18 +255,24 @@ def test_sweep_without_coarse_out_checks_the_coarse_grid_at_the_budget(
         swept.append(len(field))
         return field
 
+    def solving(sigma, y0, y1):
+        solved.append(type(y0))
+        return pair_solve(sigma, y0, y1)
+
     monkeypatch.setattr(experiments, "_advance_cells", recording)
     monkeypatch.setattr(experiments, "sweep", counting)
+    monkeypatch.setattr(experiments, "solve_smoothed_pair", solving)
     monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 500)
     _sweep_outputs(tmp_path, capsys,
                    ["--coarse-theta-step", "1", "--fine-theta-step", "0.1",
                     "--iters", "60"], coarse_out=False)
-    # T is stepped once on the unit vectors; every grid cell, in blocks,
-    # is checked at the budget, and only the fine grid is swept
-    assert seen[0] == (2, 60)
-    assert all(iters == 0 for _, iters in seen[1:])
+    # T is built once, by 60 steps of each unit vector as Python floats;
+    # every grid cell, in blocks, is checked at the budget and never
+    # stepped, and only the fine grid is swept
+    assert solved == [float] * (2 * 60)
+    assert all(iters == 0 for _, iters in seen)
     assert swept == [20]
-    assert sum(cells for cells, _ in seen[1:]) == 10 * 360 + 20
+    assert sum(cells for cells, _ in seen) == 10 * 360 + 20
     assert len(seen) > 10
 
 

@@ -14,6 +14,7 @@ import pytest
 
 from smoothgd.experiments import (
     DistanceField,
+    FieldSummary,
     PolarGrid,
     atomic_write,
     emit_csv,
@@ -134,30 +135,46 @@ def test_step_map_route_matches_scalar_runs(case):
                                    rtol=1e-10)
 
 
-@pytest.mark.parametrize("config,threads,calls", [
-    # (cells, step budget) of each kernel call; the grid has 3 cells
-    (RunConfig(eta=0.1, max_iters=10), None, [(2, 10), (3, 0)]),
-    # the step-map route runs inline whatever the thread count
-    (RunConfig(eta=0.1, max_iters=10), 2, [(2, 10), (3, 0)]),
-    (RunConfig(eta=0.1, max_iters=10, eps_stationary=1e-12), None,
-     [(3, 10)]),
-    (RunConfig(eta=0.1, max_iters=10, escape_radius=1e3), None, [(3, 10)]),
-    # T overflows: the whole grid is stepped, as in a kernel-only sweep
-    (RunConfig(eta=1e200, max_iters=10), None, [(2, 10), (3, 10)]),
-])
-def test_config_picks_the_route(config, threads, calls, monkeypatch):
+def _recording_kernel_and_pair_solves(monkeypatch):
+    """Record the (cells, step budget) of each kernel call and the
+    argument type of each pair solve."""
     kernel = experiments._advance_cells
-    seen = []
+    pair_solve = experiments.solve_smoothed_pair
+    kernel_calls, solved = [], []
 
     def recording(b00, b01, b11, x0c, x1c, config, schedule):
-        seen.append((len(x0c), config.max_iters))
+        kernel_calls.append((len(x0c), config.max_iters))
         return kernel(b00, b01, b11, x0c, x1c, config, schedule)
 
+    def solving(sigma, y0, y1):
+        solved.append(type(y0))
+        return pair_solve(sigma, y0, y1)
+
     monkeypatch.setattr(experiments, "_advance_cells", recording)
+    monkeypatch.setattr(experiments, "solve_smoothed_pair", solving)
+    return kernel_calls, solved
+
+
+@pytest.mark.parametrize("config,threads,calls", [
+    # (cells, step budget) of each kernel call, and the steps the two unit
+    # vectors take as floats to build T; the grid has 3 cells
+    (RunConfig(eta=0.1, max_iters=10), None, ([(3, 0)], 20)),
+    # the step-map route runs inline whatever the thread count
+    (RunConfig(eta=0.1, max_iters=10), 2, ([(3, 0)], 20)),
+    (RunConfig(eta=0.1, max_iters=10, eps_stationary=1e-12), None,
+     ([(3, 10)], 0)),
+    (RunConfig(eta=0.1, max_iters=10, escape_radius=1e3), None,
+     ([(3, 10)], 0)),
+    # T overflows, and both unit vectors stop once they are not finite:
+    # the whole grid is stepped, as in a kernel-only sweep
+    (RunConfig(eta=1e200, max_iters=10), None, ([(3, 10)], 4)),
+])
+def test_config_picks_the_route(config, threads, calls, monkeypatch):
+    kernel_calls, solved = _recording_kernel_and_pair_solves(monkeypatch)
     grid = PolarGrid(0.5, 0.5, 1.0, 0.0, 90.0, 30.0)
     with np.errstate(over="ignore", invalid="ignore"):
         field = sweep(SWAP, grid, config, ConstantSigma(0.0), threads=threads)
-    assert seen == calls
+    assert (kernel_calls, solved.count(float)) == calls
     if config.eta == 1e200:
         assert set(field.status_strings()) == {"failed"}
 
@@ -357,6 +374,23 @@ def test_field_x0_check_in_grid_and_shuffled_order(column, at, change):
     assert _accepts_polar(**columns) == _accepts_polar(**shuffled) == expected
 
 
+@pytest.mark.parametrize("column, at, change", [
+    ("x0", (47, 0), 2e-12), ("x0", (46, 1), -2e-12),
+    ("x0", (47, 1), math.nan), ("r", 47, math.nan),
+    ("theta_deg", 45, math.nan),
+    ("x0", (47, 0), 5e-13),   # within the tolerance
+])
+def test_field_x0_check_reaches_the_last_block(column, at, change,
+                                               monkeypatch):
+    # 48 cells in blocks of 5: the last block holds cells 45..47
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 5)
+    columns = _product_columns()
+    assert _accepts_polar(**columns)
+    columns[column] = columns[column].copy()
+    columns[column][at] += change
+    assert _accepts_polar(**columns) == (change == 5e-13)
+
+
 @pytest.mark.parametrize("code", [-1, 4, 9])
 def test_field_validation_rejects_unknown_status_codes(code):
     r = np.array([0.1, 0.2])
@@ -388,6 +422,51 @@ def test_summary_and_threshold():
     assert summary.argmin_theta_deg == field.theta_deg[idx]
     assert summary.cells_below == int(np.sum(field.final_distance <= 1.0))
     assert field.summary().cells_below is None
+
+
+def _copied_summary(field, threshold=None):
+    """DistanceField.summary as it was, on copies of the non-failed cells."""
+    ok = field.status != experiments._FAILED
+    dist = field.final_distance[ok]
+    arg = int(np.argmin(dist))
+    return FieldSummary(
+        min_distance=float(dist[arg]),
+        argmin_r=float(field.r[ok][arg]),
+        argmin_theta_deg=float(field.theta_deg[ok][arg]),
+        max_distance=float(np.max(dist)),
+        failed_cells=int(np.sum(~ok)),
+        cells_below=(int(np.sum(dist <= threshold))
+                     if threshold is not None else None),
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_summary_matches_the_copy_based_summary(seed):
+    rng = np.random.default_rng(seed)
+    columns = _product_columns()
+    # few distinct distances, so the minimum is tied; failed cells are
+    # closer than any other, with a NaN or a finite distance
+    distance = rng.integers(1, 4, 48).astype(float)
+    status = rng.integers(0, 4, 48).astype(np.int8)
+    if seed == 0:
+        status[status == experiments._FAILED] = 0   # no failed cell
+    failed = status == experiments._FAILED
+    distance[failed] = np.where(rng.random(int(failed.sum())) < 0.5,
+                                math.nan, 0.0)
+    field = DistanceField(final_distance=distance, status=status, **columns)
+    for threshold in (None, 0.0, 1.0, 2.5, math.inf, math.nan):
+        assert (field.summary(threshold)
+                == _copied_summary(field, threshold)), threshold
+    assert np.sum(distance == field.summary().min_distance) > 1
+
+
+def test_summary_raises_if_every_cell_failed():
+    columns = _product_columns()
+    field = DistanceField(final_distance=np.full(48, math.nan),
+                          status=np.full(48, experiments._FAILED,
+                                         dtype=np.int8), **columns)
+    with pytest.raises(ValueError, match="every cell failed"):
+        field.summary()
 
 
 def test_two_scale_search_refines():
@@ -436,17 +515,12 @@ def test_two_scale_search_builds_the_step_map_once(monkeypatch):
     args = (_rotated_saddle(), coarse_grid, config, RatioSigma())
     kwargs = dict(refine_halfwidth_deg=2.0, fine_step_deg=0.5)
     coarse, fine, summary = two_scale_search(*args, **kwargs)
-    kernel = experiments._advance_cells
-    seen = []
-
-    def recording(b00, b01, b11, x0c, x1c, config, schedule):
-        seen.append((len(x0c), config.max_iters))
-        return kernel(b00, b01, b11, x0c, x1c, config, schedule)
-
-    monkeypatch.setattr(experiments, "_advance_cells", recording)
+    kernel_calls, solved = _recording_kernel_and_pair_solves(monkeypatch)
     again = two_scale_search(*args, **kwargs)
-    # the unit vectors are stepped once; each grid is checked at the budget
-    assert seen == [(2, 60), (len(coarse), 0), (len(fine), 0)]
+    # the unit vectors are stepped once, as floats; each grid is checked
+    # at the budget and never stepped
+    assert solved == [float] * (2 * 60)
+    assert kernel_calls == [(len(coarse), 0), (len(fine), 0)]
     _same_field(again[0], coarse)
     _same_field(again[1], fine)
     assert again[2] == summary
@@ -692,6 +766,20 @@ def _format_column(values):
     return out[out != 0].tobytes().decode("ascii").split("\n")[:-1]
 
 
+@pytest.mark.parametrize("values", [
+    np.full(1000, 0.7),   # one run, as a fine grid's radius
+    np.array([3.5]),
+    np.repeat([0.1, 0.2, -0.0, 0.0, 0.2], 7),
+])
+def test_format_runs_writes_what_format_floats_writes(values):
+    quad_words = experiments._quad_words()
+    want = np.zeros((len(values), experiments._FLOAT_WIDTH), dtype=np.uint8)
+    experiments._format_floats(values, want, quad_words)
+    got = np.full_like(want, 0xFF)   # every byte must be written
+    experiments._format_runs(values, got, quad_words)
+    assert got.tobytes() == want.tobytes()
+
+
 def _assert_formats_like_percent_g(values):
     values = np.asarray(values, dtype=float)
     got = _format_column(values)
@@ -842,6 +930,38 @@ def test_atomic_write_failed_stream_leaves_no_file(tmp_path):
         atomic_write(str(target), blocks())
     assert list(tmp_path.iterdir()) == [target]
     assert target.read_text() == "old"
+
+
+def test_atomic_write_leaves_the_umask_alone(tmp_path, monkeypatch):
+    def refuse(mask):
+        raise AssertionError("os.umask was called")
+
+    monkeypatch.setattr(os, "umask", refuse)
+    target = tmp_path / "out.txt"
+    atomic_write(str(target), "payload")
+    assert target.read_text() == "payload"
+
+
+def test_atomic_write_skips_a_temp_name_that_is_taken(tmp_path, monkeypatch):
+    names = iter([bytes(8), bytes(8), b"\1" * 8])
+    monkeypatch.setattr(os, "urandom", lambda size: next(names))
+    taken = tmp_path / f".tmp-{bytes(8).hex()}~"
+    taken.write_text("another writer's")
+    target = tmp_path / "out.txt"
+    atomic_write(str(target), "payload")
+    assert target.read_text() == "payload"
+    assert taken.read_text() == "another writer's"
+    assert sorted(tmp_path.iterdir()) == sorted([taken, target])
+
+
+def test_atomic_write_gives_up_if_every_temp_name_is_taken(tmp_path,
+                                                          monkeypatch):
+    monkeypatch.setattr(os, "urandom", lambda size: bytes(size))
+    taken = tmp_path / f".tmp-{bytes(8).hex()}~"
+    taken.write_text("another writer's")
+    with pytest.raises(FileExistsError):
+        atomic_write(str(tmp_path / "out.txt"), "payload")
+    assert list(tmp_path.iterdir()) == [taken]
 
 
 def test_bound_formula_cross_check():

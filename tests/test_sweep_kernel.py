@@ -178,3 +178,105 @@ def test_sweep_starts_match_the_per_cell_formula(grid):
             == (field.r * np.cos(theta)).tobytes())
     assert (field.x0[:, 1].tobytes()
             == (field.r * np.sin(theta)).tobytes())
+
+
+def _kernel_step_map(b, config, schedule):
+    """T's entries from the kernel's run on the two unit vectors, as the
+    step map was built before it stepped Python floats."""
+    (t00, t01), (t10, t11), _ = experiments._advance_cells(
+        *b, np.array([1.0, 0.0]), np.array([0.0, 1.0]), config, schedule)
+    return t00, t01, t10, t11
+
+
+def _bits(t):
+    return np.array(t, dtype=float).view(np.uint64).tolist()
+
+
+def _rotated_saddle():
+    phi = 0.3
+    rot = np.array([[math.cos(phi), -math.sin(phi)],
+                    [math.sin(phi), math.cos(phi)]])
+    return rot @ np.diag([1.7, -0.9]) @ rot.T
+
+
+STEP_MAP_MATRICES = {
+    "example 1": 2.0 * np.diag([1.0, -1.0]),
+    "example 2": np.array([[2.0, 6.0], [6.0, 4.0]]),
+    "rotated saddle": _rotated_saddle(),
+    # gd at eta 1: the first unit vector shrinks 100x a step, and its
+    # squared gradient underflows to 0 long before the point does
+    "underflow": np.diag([0.99, -1.0]),
+    "flat direction": np.diag([0.0, 1.0]),
+}
+
+
+def _hessian(matrix, config):
+    return experiments._hessian_entries(QuadraticObjective(matrix), config)
+
+
+@pytest.mark.parametrize("eta", [0.1, 1.0, 1e200])
+@pytest.mark.parametrize("schedule", [ConstantSigma(0.0), RatioSigma(),
+                                      PlateauSigma(5)],
+                         ids=["gd", "ratio", "plateau"])
+@pytest.mark.parametrize("case", sorted(STEP_MAP_MATRICES))
+def test_step_map_matches_the_kernel_on_the_unit_vectors(case, schedule,
+                                                         eta):
+    config = RunConfig(eta=eta, max_iters=100)
+    b = _hessian(STEP_MAP_MATRICES[case], config)
+    with np.errstate(all="ignore"):
+        want = _kernel_step_map(b, config, schedule)
+    got = experiments._step_map(b, config, schedule)
+    assert _bits(got) == _bits(want)
+    if eta == 1e200:
+        # T overflows, and the sweep falls back to the kernel
+        assert experiments._finite_step_map(b, config, schedule) is None
+
+
+def test_step_map_freezes_a_unit_vector_whose_squared_gradient_underflows():
+    config = RunConfig(eta=1.0, max_iters=100)
+    b = _hessian(STEP_MAP_MATRICES["underflow"], config)
+    t00 = experiments._step_map(b, config, ConstantSigma(0.0))[0]
+    assert t00 == _kernel_step_map(b, config, ConstantSigma(0.0))[0]
+    assert t00 == 1.0000000000000827e-162
+    # stepping on past the kernel's stationarity rule would not match it
+    y = 1.0
+    for _ in range(100):
+        y = y - 0.99 * y
+    assert y == 1.000000000000105e-200
+
+
+class _NanFrom:
+    """sigma 0 before step k0 and NaN from k0 on; records each step asked."""
+
+    def __init__(self, k0):
+        self.k0 = k0
+        self.asked = []
+
+    def __call__(self, k):
+        self.asked.append(k)
+        return 0.0 if k < self.k0 else math.nan
+
+
+def test_step_map_ignores_a_nan_sigma_after_both_unit_vectors_stopped():
+    # on 0.99 I both unit vectors stop at the same step, well before 150
+    config = RunConfig(eta=1.0, max_iters=200)
+    b = _hessian(np.diag([0.99, 0.99]), config)
+    kernel_schedule, float_schedule = _NanFrom(150), _NanFrom(150)
+    want = _kernel_step_map(b, config, kernel_schedule)
+    got = experiments._step_map(b, config, float_schedule)
+    assert _bits(got) == _bits(want)
+    assert float_schedule.asked == kernel_schedule.asked
+    assert 0 < len(float_schedule.asked) < 150
+
+
+def test_step_map_rejects_a_nan_sigma_while_a_unit_vector_runs():
+    # the first unit vector stops near step 81; the second doubles every
+    # step and still runs at step 150
+    config = RunConfig(eta=1.0, max_iters=200)
+    b = _hessian(STEP_MAP_MATRICES["underflow"], config)
+    with pytest.raises(ValueError) as kernel_error:
+        _kernel_step_map(b, config, _NanFrom(150))
+    with pytest.raises(ValueError) as float_error:
+        experiments._step_map(b, config, _NanFrom(150))
+    assert str(float_error.value) == str(kernel_error.value)
+    assert "got nan" in str(float_error.value)
