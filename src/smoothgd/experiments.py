@@ -1,38 +1,29 @@
 """Distance-field experiments on polar grids of starting points.
 
 A sweep runs the same 2-d descent from every point of a polar grid and
-records how far each run ends from the origin (the saddle).  The iteration
-on a quadratic is linear, and a sweep takes one of two routes, chosen by
-the run configuration alone:
+records how far each run ends from the origin (the saddle).  One generator
+(:func:`_swept_blocks`) evaluates the grid in blocks of at most 65536
+cells, in grid order, with one call a block of the step kernel
+(:func:`_advance_cells`), whose termination checks mirror
+:func:`smoothgd.optimizers.run` cell by cell.  The run configuration alone
+picks what that call gets:
 
 * **Step map.**  When no termination rule can fire before the budget
   (``eps_stationary == 0`` and ``escape_radius == inf``, the CLI default),
-  every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  T's
-  columns come from stepping the two unit vectors as Python floats
-  through the kernel's own step (:func:`_step`) and stop rules, so T is
-  bit for bit the kernel's; T is applied to the grid in blocks of at most
-  65536 cells, and each cell's status comes from its final point.  If T
-  is not finite, the sweep falls back to the step kernel for the whole
-  grid.
-* **Step kernel.**  Otherwise all grid cells advance together as flat
-  arrays, one schedule step at a time; termination checks mirror
-  :func:`smoothgd.optimizers.run` cell by cell, in the same order
-  (stationarity, step budget, escape).  Only the cells still running are
-  computed on, and a step on which no rule can fire skips the per-cell
-  checks.
+  every run ends at T x0 with T = prod_k (I - eta A(sigma_k)^-1 B).  T is
+  built once, by stepping the two unit vectors as Python floats through
+  the kernel's own step (:func:`_step`) and stop rules, so it is bit for
+  bit the kernel's; the kernel then checks T x0 at the budget.
+* **Step kernel.**  Otherwise, or if T is not finite, the kernel steps a
+  block's starts through the whole budget, and the schedule is called
+  once per block per step.
 
-The kernel is the only code that steps a grid, and it is the reference the
-tests compare the step-map route with.
-
-A two-scale search only needs the coarse grid's argmin.  The CLI builds
-the coarse :class:`DistanceField` only when ``--coarse-out`` asks for it
-(r, theta, x0, distance and status: 41 bytes a cell, plus its CSV);
-otherwise the same blocks are reduced to their argmin as they are
-evaluated, so no coarse array outlives its block.  A field checks its x0
-in the same blocks, and its summary copies no column, so beyond the
-field itself ``--coarse-out`` adds block-sized temporaries and one
-float a cell for the argmin: on the CLI's default grid it peaks near
-190 MB, 148 MB of which is the field.
+One reducer (:func:`_summarise`) turns blocks of statuses and distances
+into a :class:`FieldSummary`.  :meth:`DistanceField.summary` feeds it a
+field's columns; the CLI, which needs only the coarse grid's argmin,
+feeds it each coarse block as it is evaluated, and builds the coarse
+field (41 bytes a cell, 148 MB on its default 3.6M-cell grid) only when
+``--coarse-out`` asks for it.
 """
 
 import contextlib
@@ -78,7 +69,7 @@ _ACTIVE = -1
 # float64 arrays takes 80 MB at this size.
 MAX_GRID_CELLS = 10 ** 7
 
-# Cells the step-map route evaluates, and DistanceField checks, at once.
+# Cells a sweep evaluates, and DistanceField checks and summarises, at once.
 # Their temporaries take 512 KB each at this size, whatever the grid; the
 # perfbench coarse grid (36k cells) is one block, the CLI's default one
 # (3.6M) is 55 to 60.
@@ -193,23 +184,11 @@ class DistanceField:
 
     def summary(self, threshold=None):
         """Reduce the field to its extremes, ignoring failed cells."""
-        ok = self.status != _FAILED
-        failed = len(ok) - int(np.count_nonzero(ok))
-        if failed == len(ok):
-            raise ValueError(_ALL_FAILED)
-        dist = self.final_distance
-        # a non-failed cell's distance is finite, so it beats inf
-        arg = int(np.argmin(np.where(ok, dist, math.inf) if failed else dist))
-        below = (int(np.count_nonzero(ok & (dist <= threshold)))
-                 if threshold is not None else None)
-        return FieldSummary(
-            min_distance=float(dist[arg]),
-            argmin_r=float(self.r[arg]),
-            argmin_theta_deg=float(self.theta_deg[arg]),
-            max_distance=float(np.max(dist, where=ok, initial=-math.inf)),
-            failed_cells=failed,
-            cells_below=below,
-        )
+        per = _MAP_BLOCK_CELLS
+        return _summarise(
+            ((self.status[lo:lo + per], self.final_distance[lo:lo + per])
+             for lo in range(0, len(self), per)),
+            lambda i: (float(self.r[i]), float(self.theta_deg[i])), threshold)
 
 
 @dataclass(frozen=True)
@@ -327,14 +306,13 @@ def sweep(objective, grid, config, schedule, threads=None):
         runs inline on the calling thread.  The argument is kept, and
         still validated, for callers that pass it.
 
-    The config picks the route.  With ``eps_stationary == 0`` and
-    ``escape_radius == inf`` no rule can end a run before the budget, so
-    every cell ends at T x0, where T is the accumulated 2x2 step map; it is
-    built by stepping the two unit vectors and applied to the grid block
-    by block.  A cell is ``failed`` if its final point or gradient is not
-    finite, ``reached_stationary`` if its final gradient is zero, and
-    ``max_iters`` otherwise.  If T itself is not finite, or any
-    termination rule is enabled, every cell is stepped by the kernel.
+    Each block of cells is evaluated by :func:`_swept_blocks`.  With
+    ``eps_stationary == 0`` and ``escape_radius == inf`` every cell ends at
+    T x0, T the accumulated 2x2 step map, and is ``failed`` if its final
+    point or gradient is not finite, ``reached_stationary`` if its final
+    gradient is zero, and ``max_iters`` otherwise.  If T is not finite, or
+    a termination rule is enabled, each block is stepped by the kernel,
+    which calls the schedule once per block per step.
 
     Returns a :class:`DistanceField` in radius-major grid order.
     """
@@ -343,31 +321,17 @@ def sweep(objective, grid, config, schedule, threads=None):
         raise ValueError(f"threads must be an integer >= 1, got {threads!r}")
     r_vals = grid.r_values()
     t_vals = grid.theta_values()
-    cos, sin = _unit_circle(t_vals)
-    r = np.repeat(r_vals, len(t_vals))
-    theta = np.tile(t_vals, len(r_vals))
-    x0 = np.empty((len(r), 2))
-    # cos and sin once per angle; the products are r cos(theta) cell by cell
-    polar = x0.reshape(len(r_vals), len(t_vals), 2)
-    np.multiply(r_vals[:, None], cos, out=polar[..., 0])
-    np.multiply(r_vals[:, None], sin, out=polar[..., 1])
-
-    t = _finite_step_map(b, config, schedule)
-    if t is None:
-        final0, final1, status = _advance_cells(*b, x0[:, 0], x0[:, 1],
-                                                config, schedule)
-        distance = _distances(final0, final1, status)
-    else:
-        status = np.empty(len(r), dtype=np.int8)
-        distance = np.empty(len(r))
-        on_grid = (len(r_vals), len(t_vals))
-        status_grid = status.reshape(on_grid)
-        distance_grid = distance.reshape(on_grid)
-        at_budget = replace(config, max_iters=0)
-        for rows, cols in _grid_blocks(*on_grid):
-            status_grid[rows, cols], distance_grid[rows, cols] = _map_block(
-                b, t, polar[rows, cols, 0], polar[rows, cols, 1], at_budget,
-                schedule)
+    on_grid = (len(r_vals), len(t_vals))
+    x0 = np.empty((*on_grid, 2))
+    status = np.empty(on_grid, dtype=np.int8)
+    distance = np.empty(on_grid)
+    for rows, cols, x00, x01, s, d in _swept_blocks(b, grid, config,
+                                                     schedule):
+        x0[rows, cols, 0] = x00
+        x0[rows, cols, 1] = x01
+        status[rows, cols] = s
+        distance[rows, cols] = d
+        del x00, x01, s, d   # the next block is evaluated without this one
     metadata = {
         "objective": objective.describe(),
         "eta": config.eta,
@@ -376,9 +340,11 @@ def sweep(objective, grid, config, schedule, threads=None):
         "escape_radius": config.escape_radius,
         "schedule": _describe_schedule(schedule),
     }
-    return DistanceField(r=r, theta_deg=theta, x0=x0,
-                         final_distance=distance, status=status,
-                         metadata=metadata)
+    return DistanceField(r=np.repeat(r_vals, len(t_vals)),
+                         theta_deg=np.tile(t_vals, len(r_vals)),
+                         x0=x0.reshape(-1, 2),
+                         final_distance=distance.ravel(),
+                         status=status.ravel(), metadata=metadata)
 
 
 def _hessian_entries(objective, config):
@@ -397,13 +363,6 @@ def _unit_circle(theta_deg):
     """(cos, sin) of angles in degrees."""
     radians = np.radians(theta_deg)
     return np.cos(radians), np.sin(radians)
-
-
-def _distances(final0, final1, status):
-    """|final point| per cell, NaN on failed cells."""
-    distance = np.hypot(final0, final1)
-    distance[status == _FAILED] = math.nan
-    return distance
 
 
 def _finite_step_map(b, config, schedule):
@@ -431,58 +390,90 @@ def _grid_blocks(n_r, n_theta):
                    slice(c_lo, c_lo + cols_per))
 
 
-def _map_block(b, t, x00, x01, at_budget, schedule):
-    """Statuses and distances of T x0 on a block of the step-map route.
-
-    x00 and x01 are the block's start components, (rows, cols) arrays of
-    the grid; both results have their shape.  The kernel checks T x0 at
-    the budget (``at_budget`` is the config with ``max_iters = 0``), so
-    the statuses follow its order.
+def _swept_blocks(b, grid, config, schedule):
+    """(rows, cols, x00, x01, status, distance) for each block of
+    :func:`_grid_blocks`, in grid order: the block's start components,
+    status codes and final distances (NaN on failed cells), each of the
+    block's shape.  ``b`` is the checked :func:`_hessian_entries`.  The
+    block's one kernel call gets T x0 with ``max_iters = 0`` where the
+    step map T is finite, x0 and the full config otherwise.  Overflow is
+    how a cell fails, so it warns of none.  No block is kept once yielded.
     """
-    t00, t01, t10, t11 = t
-    f0 = t00 * x00 + t01 * x01
-    f1 = t10 * x00 + t11 * x01
-    final0, final1, status = _advance_cells(*b, f0.ravel(), f1.ravel(),
-                                            at_budget, schedule)
-    return (status.reshape(f0.shape),
-            _distances(final0, final1, status).reshape(f0.shape))
+    r_vals = grid.r_values()
+    cos, sin = _unit_circle(grid.theta_values())
+    t = _finite_step_map(b, config, schedule)
+    if t is not None:
+        t00, t01, t10, t11 = t
+        config = replace(config, max_iters=0)
+    for rows, cols in _grid_blocks(len(r_vals), len(cos)):
+        radii = r_vals[rows, None]
+        x00, x01 = radii * cos[cols], radii * sin[cols]
+        f0, f1 = x00.ravel(), x01.ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t is not None:
+                f0, f1 = t00 * f0 + t01 * f1, t10 * f0 + t11 * f1
+            f0, f1, status = _advance_cells(*b, f0, f1, config, schedule)
+            distance = np.hypot(f0, f1)
+        distance[status == _FAILED] = math.nan
+        yield (rows, cols, x00, x01, status.reshape(x00.shape),
+               distance.reshape(x00.shape))
+        del x00, x01, status, distance
+
+
+def _summarise(blocks, position, threshold=None):
+    """The :class:`FieldSummary` of (status, distance) blocks, flat and in
+    grid order; ``position(i)`` is cell i's (r, theta_deg).
+
+    Failed cells are skipped and the first of equal distances wins.  A
+    non-finite distance on a non-failed cell raises ValueError once every
+    block is read, and so does a grid whose every cell failed.
+    """
+    best, best_at, top = math.inf, None, -math.inf
+    failed = below = lo = 0
+    non_finite = False
+    for status, distance in blocks:
+        ok = status != _FAILED
+        non_finite |= bool(np.any(ok & ~np.isfinite(distance)))
+        kept = int(np.count_nonzero(ok))
+        failed += len(ok) - kept
+        # a non-failed cell's distance is finite, so it beats inf
+        dist = distance if kept == len(ok) else np.where(ok, distance,
+                                                         math.inf)
+        i = int(np.argmin(dist))
+        if dist[i] < best:   # an equal later block never wins
+            best, best_at = float(dist[i]), lo + i
+        top = max(top, float(np.max(distance, where=ok, initial=-math.inf)))
+        if threshold is not None:
+            below += int(np.count_nonzero(ok & (distance <= threshold)))
+        lo += len(ok)
+    if non_finite:
+        raise ValueError(_INFINITE_DISTANCE)
+    if best_at is None:
+        raise ValueError(_ALL_FAILED)
+    argmin_r, argmin_theta_deg = position(best_at)
+    return FieldSummary(
+        min_distance=best,
+        argmin_r=argmin_r,
+        argmin_theta_deg=argmin_theta_deg,
+        max_distance=top,
+        failed_cells=failed,
+        cells_below=below if threshold is not None else None,
+    )
 
 
 def _coarse_argmin(objective, grid, config, schedule):
-    """(r, theta_deg) of the grid's closest final point, without a field.
-
-    The result is ``sweep(...).summary()``'s argmin: failed cells are
-    skipped, the first of equal distances in grid order wins, and a grid
-    whose every cell failed raises that summary's ValueError.  On the
-    step-map route the grid is evaluated block by block and only the
-    running argmin is kept; otherwise the field is swept and summarised.
-    """
+    """(r, theta_deg) of the grid's closest final point: the argmin of
+    ``sweep(...).summary()``, from the same blocks and reducer, without a
+    field."""
     b = _hessian_entries(objective, config)
-    t = _finite_step_map(b, config, schedule)
-    if t is None:
-        pivot = sweep(objective, grid, config, schedule).summary()
-        return pivot.argmin_r, pivot.argmin_theta_deg
-    r_vals = grid.r_values()
-    t_vals = grid.theta_values()
-    cos, sin = _unit_circle(t_vals)
-    at_budget = replace(config, max_iters=0)
-    best, best_at = math.inf, None
-    for rows, cols in _grid_blocks(len(r_vals), len(t_vals)):
-        radii = r_vals[rows, None]
-        status, distance = _map_block(b, t, radii * cos[cols],
-                                      radii * sin[cols], at_budget, schedule)
-        # a failed cell's distance is NaN, so inf is a non-failed one's
-        if np.isinf(distance).any():
-            raise ValueError(_INFINITE_DISTANCE)
-        ok = status != _FAILED
-        if not ok.all():
-            distance = np.where(ok, distance, math.inf)
-        i, j = np.unravel_index(np.argmin(distance), distance.shape)
-        if distance[i, j] < best:   # an equal later block never wins
-            best, best_at = distance[i, j], (rows.start + i, cols.start + j)
-    if best_at is None:
-        raise ValueError(_ALL_FAILED)
-    return float(r_vals[best_at[0]]), float(t_vals[best_at[1]])
+    r_vals, t_vals = grid.r_values(), grid.theta_values()
+    pivot = _summarise(
+        ((status.ravel(), distance.ravel())
+         for _, _, _, _, status, distance in _swept_blocks(b, grid, config,
+                                                           schedule)),
+        lambda i: (float(r_vals[i // len(t_vals)]),
+                   float(t_vals[i % len(t_vals)])))
+    return pivot.argmin_r, pivot.argmin_theta_deg
 
 
 # Inside _sharing_step_maps, the step maps built so far, by (b, config,

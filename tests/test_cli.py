@@ -5,6 +5,7 @@ import json
 import math
 import runpy
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -274,6 +275,24 @@ def test_sweep_without_coarse_out_checks_the_coarse_grid_at_the_budget(
     assert swept == [20]
     assert sum(cells for cells, _ in seen) == 10 * 360 + 20
     assert len(seen) > 10
+
+
+@pytest.mark.parametrize("coarse_out", [False, True])
+def test_sweep_whose_every_cell_overflows_prints_one_error(tmp_path, capsys,
+                                                           coarse_out):
+    argv = ["sweep", "--eta", "1e200", "--coarse-theta-step", "1",
+            "--fine-theta-step", "0.1", "--out", str(tmp_path / "fine.csv")]
+    if coarse_out:
+        argv += ["--coarse-out", str(tmp_path / "coarse.csv")]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "smoothgd: error: every cell failed; no summary available\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_gd_optimizer(tmp_path, capsys):

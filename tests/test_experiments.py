@@ -166,7 +166,7 @@ def _recording_kernel_and_pair_solves(monkeypatch):
     (RunConfig(eta=0.1, max_iters=10, escape_radius=1e3), None,
      ([(3, 10)], 0)),
     # T overflows, and both unit vectors stop once they are not finite:
-    # the whole grid is stepped, as in a kernel-only sweep
+    # the grid is stepped, as in a kernel-only sweep
     (RunConfig(eta=1e200, max_iters=10), None, ([(3, 10)], 4)),
 ])
 def test_config_picks_the_route(config, threads, calls, monkeypatch):
@@ -629,6 +629,213 @@ def test_coarse_argmin_rejects_an_infinite_distance_as_sweep_does():
                                        ConstantSigma(0.0))
     assert str(reduced.value) == str(swept.value)
     assert "non-finite distance" in str(reduced.value)
+
+
+# blocks of 7 cells split every 24-angle row of the grids below
+_ODD_BLOCK = 7
+
+
+class _CountingSigma:
+    """RatioSigma, counting the steps it is asked for."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, k):
+        self.calls += 1
+        return RatioSigma()(k)
+
+
+def _whole_grid_field(objective, grid, config, schedule):
+    """x0, status and distance from one kernel call over the whole grid,
+    with the starts built as the sweep built them before it went block by
+    block."""
+    r_vals, t_vals = grid.r_values(), grid.theta_values()
+    radians = np.radians(t_vals)
+    x0 = np.empty((len(r_vals), len(t_vals), 2))
+    np.multiply(r_vals[:, None], np.cos(radians), out=x0[..., 0])
+    np.multiply(r_vals[:, None], np.sin(radians), out=x0[..., 1])
+    x0 = x0.reshape(-1, 2)
+    b = experiments._hessian_entries(objective, config)
+    final0, final1, status = experiments._advance_cells(
+        *b, x0[:, 0], x0[:, 1], config, schedule)
+    distance = np.hypot(final0, final1)
+    distance[status == experiments._FAILED] = math.nan
+    return x0, status, distance
+
+
+def test_blocked_kernel_route_equals_one_kernel_call_over_the_grid(
+        monkeypatch):
+    # the stable direction contracts and the other grows slowly, so cells
+    # turn stationary, escape or run out the budget at many different steps
+    objective = QuadraticObjective(np.diag([1.0, -0.05]))
+    grid = PolarGrid(0.1, 0.5, 0.1, -180.0, 180.0, 15.0)   # 5 x 24 cells
+    config = RunConfig(eta=0.1, max_iters=150, eps_stationary=0.02,
+                       escape_radius=0.6)
+    want = _whole_grid_field(objective, grid, config, RatioSigma())
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", _ODD_BLOCK)
+    schedule = _CountingSigma()
+    field = sweep(objective, grid, config, schedule)
+    for got, oracle in zip((field.x0, field.status, field.final_distance),
+                           want):
+        assert got.dtype == oracle.dtype and got.tobytes() == oracle.tobytes()
+    # 20 blocks, none of them starting on a row's first cell in step
+    blocks = list(experiments._grid_blocks(5, 24))
+    assert len(blocks) == 20
+    stopped = {code: {i for i, (rows, cols) in enumerate(blocks)
+                      if code in field.status.reshape(5, 24)[rows, cols]}
+               for code in (experiments._STATIONARY, experiments._ESCAPED,
+                            experiments._MAX_ITERS)}
+    assert all(len(where) > 1 for where in stopped.values())
+    # the schedule is asked once per block for each step a block runs
+    assert 150 < schedule.calls < 20 * 150
+
+
+def _whole_array_summary(field, threshold=None):
+    """DistanceField.summary as it was before it read the field in blocks."""
+    ok = field.status != experiments._FAILED
+    failed = len(ok) - int(np.count_nonzero(ok))
+    if failed == len(ok):
+        raise ValueError(experiments._ALL_FAILED)
+    dist = field.final_distance
+    arg = int(np.argmin(np.where(ok, dist, math.inf) if failed else dist))
+    below = (int(np.count_nonzero(ok & (dist <= threshold)))
+             if threshold is not None else None)
+    return FieldSummary(
+        min_distance=float(dist[arg]),
+        argmin_r=float(field.r[arg]),
+        argmin_theta_deg=float(field.theta_deg[arg]),
+        max_distance=float(np.max(dist, where=ok, initial=-math.inf)),
+        failed_cells=failed,
+        cells_below=below,
+    )
+
+
+def _summary_or_error(summarise, field, threshold):
+    try:
+        return summarise(field, threshold)
+    except ValueError as exc:
+        return str(exc)
+
+
+_FAILED_CODE = experiments._FAILED
+
+
+def _summary_case(name):
+    """(distance, status) of 48 cells, read in blocks of 7."""
+    distance = np.arange(48, 0, -1, dtype=float) / 8.0
+    status = np.full(48, experiments._MAX_ITERS, dtype=np.int8)
+    if name == "failed cells":
+        status[[3, 20, 47]] = _FAILED_CODE   # 47 holds the least distance
+        distance[[3, 20]] = [math.nan, 0.0]
+    elif name == "tie across a block boundary":
+        distance[[6, 7, 30]] = 0.05   # cells 6 and 7 lie in blocks 0 and 1
+    elif name == "tie behind a failed cell":
+        distance[[13, 14]] = 0.05
+        status[13] = _FAILED_CODE
+    elif name == "all failed":
+        status[:] = _FAILED_CODE
+        distance[::2] = math.nan
+    elif name == "only the last block ran":
+        status[:42] = _FAILED_CODE
+        distance[:42] = math.nan
+    return distance, status
+
+
+@pytest.mark.parametrize("name", [
+    "no failed cell", "failed cells", "tie across a block boundary",
+    "tie behind a failed cell", "all failed", "only the last block ran"])
+def test_blocked_summary_matches_the_whole_array_summary(name, monkeypatch):
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", _ODD_BLOCK)
+    distance, status = _summary_case(name)
+    field = DistanceField(final_distance=distance, status=status,
+                          **_product_columns())
+    for threshold in (None, 0.0, 0.05, 1.0, 2.5, math.inf, math.nan):
+        got = _summary_or_error(DistanceField.summary, field, threshold)
+        want = _summary_or_error(_whole_array_summary, field, threshold)
+        assert got == want, threshold
+    if name == "all failed":
+        assert got == experiments._ALL_FAILED
+    first = {"tie across a block boundary": 6, "tie behind a failed cell": 14}
+    if name in first:
+        at = first[name]
+        assert (got.argmin_r, got.argmin_theta_deg) == (field.r[at],
+                                                        field.theta_deg[at])
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(eta=0.1, max_iters=100, eps_stationary=1e-3),
+    RunConfig(eta=0.1, max_iters=100, escape_radius=0.6),
+    RunConfig(eta=1e200, max_iters=100),   # T overflows
+    _OVERFLOWING[1],
+])
+def test_coarse_argmin_builds_no_field(config, monkeypatch):
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", _ODD_BLOCK)
+    objective = _OVERFLOWING[0] if config.eta > 1 else _rotated_saddle()
+    grid = PolarGrid(4.0, 5.0, 1.0, -180.0, 180.0, 15.0)   # 2 x 24 cells
+    field = sweep(objective, grid, config, RatioSigma())
+    want = _summary_or_error(DistanceField.summary, field, None)
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("the coarse pass built a DistanceField")
+
+    monkeypatch.setattr(experiments, "DistanceField", no_field)
+    try:
+        got = experiments._coarse_argmin(objective, grid, config,
+                                         RatioSigma())
+    except ValueError as exc:
+        got = str(exc)
+    if isinstance(want, FieldSummary):
+        want = (want.argmin_r, want.argmin_theta_deg)
+    assert got == want
+
+
+class _BadFrom:
+    """0.5 until step k, then a bad sigma."""
+
+    def __init__(self, k):
+        self.k = k
+
+    def __call__(self, k):
+        return math.nan if k >= self.k else 0.5
+
+
+@pytest.mark.parametrize("escape_radius", [math.inf, 1e3])
+def test_bad_sigma_raises_over_several_blocks(escape_radius, monkeypatch):
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 5)
+    # |grad| = r on SWAP: the first radius's cells, the first two blocks,
+    # are stationary at once and ask for no sigma; the later blocks reach
+    # the bad one at step 3
+    config = RunConfig(eta=0.1, max_iters=10, eps_stationary=0.15,
+                       escape_radius=escape_radius)
+    for k in (3, 0):
+        with pytest.raises(ValueError, match="sigma"):
+            sweep(SWAP, small_grid(), config, _BadFrom(k))
+        with pytest.raises(ValueError, match="sigma"):
+            experiments._coarse_argmin(SWAP, small_grid(), config,
+                                       _BadFrom(k))
+    # the step-map route asks for sigma while it builds T
+    config = RunConfig(eta=0.1, max_iters=10, escape_radius=escape_radius)
+    with pytest.raises(ValueError, match="sigma"):
+        experiments._coarse_argmin(SWAP, small_grid(), config, _BadFrom(3))
+
+
+@pytest.mark.parametrize("objective, config", [
+    (SWAP, RunConfig(eta=1e200, max_iters=10)),
+    (SWAP, RunConfig(eta=1e200, max_iters=10, eps_stationary=1e-9)),
+    # T is finite, and T x0 overflows on every start
+    (_OVERFLOWING[0], _OVERFLOWING[1]),
+])
+def test_overflowing_sweeps_fail_their_cells_without_warnings(objective,
+                                                              config):
+    grid = PolarGrid(4.0, 5.0, 1.0, 45.0, 135.0, 45.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = sweep(objective, grid, config, ConstantSigma(0.0))
+        with pytest.raises(ValueError, match="every cell failed"):
+            experiments._coarse_argmin(objective, grid, config,
+                                       ConstantSigma(0.0))
+    assert set(field.status_strings()) == {"failed"}
 
 
 def test_rate_check_within_bound():
