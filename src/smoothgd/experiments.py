@@ -22,8 +22,8 @@ One reducer (:func:`_summarise`) turns blocks of statuses and distances
 into a :class:`FieldSummary`.  :meth:`DistanceField.summary` feeds it a
 field's columns; the CLI, which needs only the coarse grid's argmin,
 feeds it each coarse block as it is evaluated, and builds the coarse
-field (41 bytes a cell, 148 MB on its default 3.6M-cell grid) only when
-``--coarse-out`` asks for it.
+field (25 bytes a cell, no starts: 90 MB on its default 3.6M-cell grid)
+only when ``--coarse-out`` asks for it.
 """
 
 import contextlib
@@ -69,7 +69,7 @@ _ACTIVE = -1
 # float64 arrays takes 80 MB at this size.
 MAX_GRID_CELLS = 10 ** 7
 
-# Cells a sweep evaluates, and DistanceField checks and summarises, at once.
+# Cells a sweep evaluates, and DistanceField summarises, at once.
 # Their temporaries take 512 KB each at this size, whatever the grid; the
 # perfbench coarse grid (36k cells) is one block, the CLI's default one
 # (3.6M) is 55 to 60.
@@ -144,30 +144,24 @@ class DistanceField:
 
     ``status`` holds small integer codes indexing ``STATUS_STRINGS``;
     failed cells carry NaN distance.  ``metadata`` records what produced
-    the field (objective, step size, iteration budget, schedule).
+    the field (objective, step size, iteration budget, schedule).  The
+    starts ``x0`` are derived from the finite ``r`` and ``theta_deg``.
     """
 
     r: np.ndarray
     theta_deg: np.ndarray
-    x0: np.ndarray
     final_distance: np.ndarray
     status: np.ndarray
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.r)
-        if not (len(self.theta_deg) == n and self.x0.shape == (n, 2)
-                and len(self.final_distance) == n and len(self.status) == n):
+        if not (len(self.theta_deg) == n and len(self.final_distance) == n
+                and len(self.status) == n):
             raise ValueError("field columns have inconsistent lengths")
-        # in blocks, so the check's temporaries stay small on any field
-        for lo in range(0, n, _MAP_BLOCK_CELLS):
-            rows = slice(lo, lo + _MAP_BLOCK_CELLS)
-            r = self.r[rows]
-            cos, sin = _unit_circle(self.theta_deg[rows])
-            # written so that a NaN anywhere fails the check
-            if not (np.max(np.abs(self.x0[rows, 0] - r * cos)) <= 1e-12
-                    and np.max(np.abs(self.x0[rows, 1] - r * sin)) <= 1e-12):
-                raise ValueError("x0 does not match its polar coordinates")
+        if not (np.isfinite(self.r).all()
+                and np.isfinite(self.theta_deg).all()):
+            raise ValueError("polar coordinates must be finite")
         if n and not (0 <= np.min(self.status)
                       and np.max(self.status) < len(STATUS_STRINGS)):
             raise ValueError(
@@ -178,6 +172,12 @@ class DistanceField:
 
     def __len__(self):
         return len(self.r)
+
+    @property
+    def x0(self):
+        """(n, 2) starts r (cos theta, sin theta), computed on each read."""
+        cos, sin = _unit_circle(self.theta_deg)
+        return np.column_stack([self.r * cos, self.r * sin])
 
     def status_strings(self):
         return np.array(STATUS_STRINGS)[self.status]
@@ -322,16 +322,12 @@ def sweep(objective, grid, config, schedule, threads=None):
     r_vals = grid.r_values()
     t_vals = grid.theta_values()
     on_grid = (len(r_vals), len(t_vals))
-    x0 = np.empty((*on_grid, 2))
     status = np.empty(on_grid, dtype=np.int8)
     distance = np.empty(on_grid)
-    for rows, cols, x00, x01, s, d in _swept_blocks(b, grid, config,
-                                                     schedule):
-        x0[rows, cols, 0] = x00
-        x0[rows, cols, 1] = x01
+    for rows, cols, s, d in _swept_blocks(b, grid, config, schedule):
         status[rows, cols] = s
         distance[rows, cols] = d
-        del x00, x01, s, d   # the next block is evaluated without this one
+        del s, d   # the next block is evaluated without this one
     metadata = {
         "objective": objective.describe(),
         "eta": config.eta,
@@ -342,7 +338,6 @@ def sweep(objective, grid, config, schedule, threads=None):
     }
     return DistanceField(r=np.repeat(r_vals, len(t_vals)),
                          theta_deg=np.tile(t_vals, len(r_vals)),
-                         x0=x0.reshape(-1, 2),
                          final_distance=distance.ravel(),
                          status=status.ravel(), metadata=metadata)
 
@@ -391,13 +386,13 @@ def _grid_blocks(n_r, n_theta):
 
 
 def _swept_blocks(b, grid, config, schedule):
-    """(rows, cols, x00, x01, status, distance) for each block of
-    :func:`_grid_blocks`, in grid order: the block's start components,
-    status codes and final distances (NaN on failed cells), each of the
-    block's shape.  ``b`` is the checked :func:`_hessian_entries`.  The
-    block's one kernel call gets T x0 with ``max_iters = 0`` where the
-    step map T is finite, x0 and the full config otherwise.  Overflow is
-    how a cell fails, so it warns of none.  No block is kept once yielded.
+    """(rows, cols, status, distance) for each block of
+    :func:`_grid_blocks`, in grid order: the block's status codes and
+    final distances (NaN on failed cells), each of the block's shape.
+    ``b`` is the checked :func:`_hessian_entries`.  The block's one kernel
+    call gets T x0 with ``max_iters = 0`` where the step map T is finite,
+    x0 and the full config otherwise.  Overflow is how a cell fails, so it
+    warns of none.  No block is kept once yielded.
     """
     r_vals = grid.r_values()
     cos, sin = _unit_circle(grid.theta_values())
@@ -415,9 +410,9 @@ def _swept_blocks(b, grid, config, schedule):
             f0, f1, status = _advance_cells(*b, f0, f1, config, schedule)
             distance = np.hypot(f0, f1)
         distance[status == _FAILED] = math.nan
-        yield (rows, cols, x00, x01, status.reshape(x00.shape),
+        yield (rows, cols, status.reshape(x00.shape),
                distance.reshape(x00.shape))
-        del x00, x01, status, distance
+        del status, distance
 
 
 def _summarise(blocks, position, threshold=None):
@@ -469,8 +464,8 @@ def _coarse_argmin(objective, grid, config, schedule):
     r_vals, t_vals = grid.r_values(), grid.theta_values()
     pivot = _summarise(
         ((status.ravel(), distance.ravel())
-         for _, _, _, _, status, distance in _swept_blocks(b, grid, config,
-                                                           schedule)),
+         for _, _, status, distance in _swept_blocks(b, grid, config,
+                                                     schedule)),
         lambda i: (float(r_vals[i // len(t_vals)]),
                    float(t_vals[i % len(t_vals)])))
     return pivot.argmin_r, pivot.argmin_theta_deg
@@ -781,21 +776,21 @@ def emit_csv(field, path):
 def _csv_blocks(field):
     yield "".join(f"# {key}: {field.metadata[key]}\n"
                   for key in sorted(field.metadata)) + _CSV_HEADER + "\n"
-    columns = (field.r, field.theta_deg, field.x0[:, 0], field.x0[:, 1],
-               field.final_distance)
     status_at = _CSV_FLOATS * _FLOAT_WIDTH
     block = np.empty((min(len(field), _CSV_BLOCK_ROWS), _CSV_ROW_WIDTH),
                      dtype=np.uint8)
     quad_words = _quad_words()
     for lo in range(0, len(field), _CSV_BLOCK_ROWS):
         rows = slice(lo, lo + _CSV_BLOCK_ROWS)
+        r, theta = field.r[rows], field.theta_deg[rows]
+        cos, sin = _unit_circle(theta)   # the starts, as a sweep forms them
         status = field.status[rows]
         text = block[:len(status)]
+        columns = (r, theta, r * cos, r * sin, field.final_distance[rows])
         for j, column in enumerate(columns):
             at = j * _FLOAT_WIDTH
             format_column = _format_runs if j == 0 else _format_floats
-            format_column(column[rows], text[:, at:at + _FLOAT_WIDTH],
-                          quad_words)
+            format_column(column, text[:, at:at + _FLOAT_WIDTH], quad_words)
             text[:, at + _FLOAT_WIDTH - 1] = ord(",")
         text[:, status_at:].view(np.uint64)[...] = _STATUS_TEXT[status]
         for i in range(0, len(text), _CSV_SLICE_ROWS):
@@ -943,17 +938,17 @@ def load_csv(path):
     for i, parts in enumerate(rows):
         if len(parts) != 6:
             raise ValueError(f"row {i} has {len(parts)} fields, expected 6")
-        r[i] = float(parts[0])
-        theta[i] = float(parts[1])
-        x0[i, 0] = float(parts[2])
-        x0[i, 1] = float(parts[3])
-        dist[i] = float(parts[4])
+        r[i], theta[i], x0[i, 0], x0[i, 1], dist[i] = map(float, parts[:5])
         try:
             status[i] = codes[parts[5]]
         except KeyError:
             raise ValueError(f"row {i} has unknown status {parts[5]!r}") from None
-    return DistanceField(r=r, theta_deg=theta, x0=x0, final_distance=dist,
-                         status=status, metadata=metadata)
+    loaded = DistanceField(r=r, theta_deg=theta, final_distance=dist,
+                           status=status, metadata=metadata)
+    # x0 must match the field's starts; a NaN anywhere fails the check
+    if not np.max(np.abs(x0 - loaded.x0), initial=0.0) <= 1e-12:
+        raise ValueError("x0 does not match its polar coordinates")
+    return loaded
 
 
 def write_summary_json(summary, path):

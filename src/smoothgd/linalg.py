@@ -231,8 +231,9 @@ def dense_solve(m, y):
         raise ValueError(f"right-hand side must have shape ({n},), got {b.shape}")
     if not np.all(np.isfinite(b)):
         raise ValueError("right-hand side has non-finite entries")
-    norm = np.linalg.norm(a)
-    threshold = 1e-13 * norm
+    # ||a||_F as s ||a / s||_F, s the largest |entry|, so it cannot overflow
+    scale = np.max(np.abs(a))
+    threshold = 1e-13 * scale * np.linalg.norm(a / scale) if scale else 0.0
     for k in range(n):
         piv = k + int(np.argmax(np.abs(a[k:, k])))
         if abs(a[piv, k]) <= threshold:

@@ -193,8 +193,9 @@ def run(objective, x0, config, schedule):
     :meth:`~smoothgd.smoothing.CirculantSmoother.solve`, whose input check
     tests the gradient the same way once more.
 
-    Raises :class:`NumericError` if an iterate or gradient turns non-finite;
-    the exception carries the partial trajectory when recording is on.
+    Raises :class:`NumericError`, and gives no numpy warning, if an iterate
+    or gradient turns non-finite; the exception carries the partial
+    trajectory when recording is on.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.shape[0] != objective.dim:
@@ -211,41 +212,42 @@ def run(objective, x0, config, schedule):
     smoother = None
     sigma_prev = None
     k = 0
-    while True:
-        grad = np.asarray(objective.gradient(x), dtype=float)
-        if grad.shape != x.shape:
-            raise ValueError(f"gradient shape {grad.shape} does not match "
-                             f"point shape {x.shape}")
-        # exactly what np.linalg.norm computes for a 1-d float array (dot
-        # in memory order, then sqrt), without its dispatch overhead
-        flat = grad.ravel(order="K")
-        gg = np.vdot(flat, flat)
-        if not gg < math.inf and not np.isfinite(grad).all():
-            raise NumericError("gradient has non-finite entries", x.copy(), k,
-                               trajectory)
-        gnorm = math.sqrt(gg)
-        if gnorm <= config.eps_stationary:
-            status = RunStatus.REACHED_STATIONARY
-            break
-        if k >= config.max_iters:
-            status = RunStatus.MAX_ITERS
-            break
-        if (config.escape_radius < math.inf
-                and math.sqrt(xx) > config.escape_radius):
-            status = RunStatus.ESCAPED
-            break
-        sigma = float(schedule(k))
-        if smoother is None or sigma != sigma_prev:
-            smoother = CirculantSmoother(objective.dim, sigma)
-            sigma_prev = sigma
-        x = x - config.eta * smoother.solve(grad)
-        k += 1
-        xx = np.vdot(x, x)
-        if not xx < math.inf and not np.isfinite(x).all():
-            raise NumericError("iterate has non-finite entries", x, k,
-                               trajectory)
-        if trajectory is not None:
-            trajectory.append(x.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            grad = np.asarray(objective.gradient(x), dtype=float)
+            if grad.shape != x.shape:
+                raise ValueError(f"gradient shape {grad.shape} does not match "
+                                 f"point shape {x.shape}")
+            # exactly what np.linalg.norm computes for a 1-d float array (dot
+            # in memory order, then sqrt), without its dispatch overhead
+            flat = grad.ravel(order="K")
+            gg = np.vdot(flat, flat)
+            if not gg < math.inf and not np.isfinite(grad).all():
+                raise NumericError("gradient has non-finite entries",
+                                   x.copy(), k, trajectory)
+            gnorm = math.sqrt(gg)
+            if gnorm <= config.eps_stationary:
+                status = RunStatus.REACHED_STATIONARY
+                break
+            if k >= config.max_iters:
+                status = RunStatus.MAX_ITERS
+                break
+            if (config.escape_radius < math.inf
+                    and math.sqrt(xx) > config.escape_radius):
+                status = RunStatus.ESCAPED
+                break
+            sigma = float(schedule(k))
+            if smoother is None or sigma != sigma_prev:
+                smoother = CirculantSmoother(objective.dim, sigma)
+                sigma_prev = sigma
+            x = x - config.eta * smoother.solve(grad)
+            k += 1
+            xx = np.vdot(x, x)
+            if not xx < math.inf and not np.isfinite(x).all():
+                raise NumericError("iterate has non-finite entries", x, k,
+                                   trajectory)
+            if trajectory is not None:
+                trajectory.append(x.copy())
     return RunResult(
         final_point=x,
         iterations_used=k,

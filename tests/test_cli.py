@@ -295,6 +295,28 @@ def test_sweep_whose_every_cell_overflows_prints_one_error(tmp_path, capsys,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("args", [
+    ["optimize", "--x0", "x3", "--n", "3", "--eta", "1e300", "--iters", "5"],
+    # gradient descent on the canonical saddle diverges, long before the
+    # budget
+    ["optimize", "--x0", "x3", "--n", "3", "--schedule", "gd",
+     "--iters", "100000", "--eps", "1e-3"],
+    ["smooth", "--method", "dense", "--sigma", "1e300", "--input", "y5"],
+])
+def test_overflow_fails_in_one_line(args, tmp_path, capsys):
+    write_vector(tmp_path / "x3", [1.0, 2.0, 3.0])
+    write_vector(tmp_path / "y5", [1.0, 2.0, 3.0, 4.0, 5.0])
+    argv = [str(tmp_path / a) if a in ("x3", "y5") else a for a in args]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("smoothgd: error: "), err
+
+
 def test_sweep_gd_optimizer(tmp_path, capsys):
     mat = tmp_path / "b.txt"
     write_matrix(mat, [[0.0, 1.0], [1.0, 0.0]])

@@ -127,8 +127,9 @@ def test_step_map_route_matches_scalar_runs(case):
     config = RunConfig(eta=0.1, max_iters=100)
     field = sweep(objective, grid, config, schedule)
     assert np.all(_away_from_dip(field))
+    x0 = field.x0
     for i in range(len(field)):
-        result = run(objective, field.x0[i], config, schedule)
+        result = run(objective, x0[i], config, schedule)
         assert field.status_strings()[i] == result.status.value
         np.testing.assert_allclose(field.final_distance[i],
                                    np.linalg.norm(result.final_point),
@@ -229,8 +230,9 @@ def test_sweep_matches_scalar_runs():
                        escape_radius=50.0)
     field = sweep(SWAP, grid, config, RatioSigma())
     assert len(field) == grid.cells
+    x0 = field.x0
     for i in range(len(field)):
-        result = run(SWAP, field.x0[i], config, RatioSigma())
+        result = run(SWAP, x0[i], config, RatioSigma())
         assert field.status_strings()[i] == result.status.value
         np.testing.assert_allclose(field.final_distance[i],
                                    np.linalg.norm(result.final_point),
@@ -309,51 +311,59 @@ def test_sweep_rejects_bad_input():
               ConstantSigma(0.0))
 
 
-def test_field_validation():
-    r = np.array([0.1])
-    theta = np.array([0.0])
-    x0 = np.array([[0.2, 0.0]])  # wrong radius for the polar pair
-    with pytest.raises(ValueError):
-        DistanceField(r=r, theta_deg=theta, x0=x0,
-                      final_distance=np.array([1.0]),
-                      status=np.array([0], dtype=np.int8))
-
-
 def _polar_columns(r, theta):
     theta = np.asarray(theta, dtype=float)
     return np.column_stack([r * np.cos(np.radians(theta)),
                             r * np.sin(np.radians(theta))])
 
 
-@pytest.mark.parametrize("column", ["r", "theta_deg", "x0"])
-def test_field_validation_rejects_nan_coordinates(column):
-    columns = dict(r=np.array([0.1, 0.2]), theta_deg=np.array([0.0, 30.0]))
-    columns["x0"] = _polar_columns(columns["r"], columns["theta_deg"])
-    columns[column] = columns[column].copy()
-    columns[column][1] = math.nan
-    with pytest.raises(ValueError, match="polar"):
-        DistanceField(final_distance=np.array([0.5, 0.5]),
-                      status=np.array([1, 1], dtype=np.int8), **columns)
+def _write_rows(path, r, theta_deg, x0):
+    """A CSV file as emit_csv writes one, with these coordinate columns,
+    distance 1 and status max_iters on every row."""
+    rows = ["%.17g,%.17g,%.17g,%.17g,1,max_iters" % (a, t, u, v)
+            for a, t, (u, v) in zip(r.tolist(), theta_deg.tolist(),
+                                    x0.tolist())]
+    path.write_text("# eta: 0.1\n" + experiments._CSV_HEADER + "\n"
+                    + "".join(row + "\n" for row in rows))
 
 
-def _accepts_polar(r, theta_deg, x0):
-    """Whether DistanceField accepts these coordinates."""
-    n = len(r)
+def _loads(path, r, theta_deg, x0):
+    """Whether load_csv accepts a file with these coordinate columns."""
+    _write_rows(path, r, theta_deg, x0)
     try:
-        DistanceField(r=r, theta_deg=theta_deg, x0=x0,
-                      final_distance=np.ones(n),
-                      status=np.ones(n, dtype=np.int8))
+        load_csv(str(path))
     except ValueError as exc:
         assert "polar" in str(exc)
         return False
     return True
 
 
+def test_field_validation(tmp_path):
+    # x0 at the wrong radius for its polar pair
+    path = tmp_path / "radius.csv"
+    r, theta = np.array([0.1]), np.array([0.0])
+    assert _loads(path, r, theta, _polar_columns(r, theta))
+    assert not _loads(path, r, theta, np.array([[0.2, 0.0]]))
+    with pytest.raises(ValueError, match="inconsistent lengths"):
+        DistanceField(r=r, theta_deg=np.zeros(2),
+                      final_distance=np.array([1.0]),
+                      status=np.array([0], dtype=np.int8))
+
+
+@pytest.mark.parametrize("column", ["r", "theta_deg"])
+def test_field_validation_rejects_nan_coordinates(column):
+    columns = dict(r=np.array([0.1, 0.2]), theta_deg=np.array([0.0, 30.0]))
+    columns[column][1] = math.nan
+    with pytest.raises(ValueError, match="polar"):
+        DistanceField(final_distance=np.array([0.5, 0.5]),
+                      status=np.array([1, 1], dtype=np.int8), **columns)
+
+
 def _product_columns():
     grid = PolarGrid(0.1, 0.4, 0.1, -180.0, 180.0, 30.0)   # 4 x 12 cells
     r = np.repeat(grid.r_values(), 12)
     theta = np.tile(grid.theta_values(), 4)
-    return {"r": r, "theta_deg": theta, "x0": _polar_columns(r, theta)}
+    return {"r": r, "theta_deg": theta}
 
 
 @pytest.mark.parametrize("column, at, change", [
@@ -363,39 +373,27 @@ def _product_columns():
     ("r", 0, math.nan), ("r", 13, math.nan), ("r", 47, math.nan),
     ("theta_deg", 0, math.nan), ("theta_deg", 40, math.nan),
 ])
-def test_field_x0_check_in_grid_and_shuffled_order(column, at, change):
+def test_field_x0_check_in_grid_and_shuffled_order(tmp_path, column, at,
+                                                   change):
+    # load_csv checks a file's x0 columns against the starts its field
+    # derives from r and theta
     columns = _product_columns()
+    columns["x0"] = _polar_columns(columns["r"], columns["theta_deg"])
+    assert _loads(tmp_path / "exact.csv", **columns)
     columns[column] = columns[column].copy()
     columns[column][at] += change
-    # rows out of order, as load_csv gives them from a reordered file
+    # rows out of order, as in a reordered file
     order = np.random.default_rng(5).permutation(48)
     shuffled = {name: values[order] for name, values in columns.items()}
     expected = change == 5e-13
-    assert _accepts_polar(**columns) == _accepts_polar(**shuffled) == expected
-
-
-@pytest.mark.parametrize("column, at, change", [
-    ("x0", (47, 0), 2e-12), ("x0", (46, 1), -2e-12),
-    ("x0", (47, 1), math.nan), ("r", 47, math.nan),
-    ("theta_deg", 45, math.nan),
-    ("x0", (47, 0), 5e-13),   # within the tolerance
-])
-def test_field_x0_check_reaches_the_last_block(column, at, change,
-                                               monkeypatch):
-    # 48 cells in blocks of 5: the last block holds cells 45..47
-    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 5)
-    columns = _product_columns()
-    assert _accepts_polar(**columns)
-    columns[column] = columns[column].copy()
-    columns[column][at] += change
-    assert _accepts_polar(**columns) == (change == 5e-13)
+    assert (_loads(tmp_path / "grid.csv", **columns)
+            == _loads(tmp_path / "shuffled.csv", **shuffled) == expected)
 
 
 @pytest.mark.parametrize("code", [-1, 4, 9])
 def test_field_validation_rejects_unknown_status_codes(code):
-    r = np.array([0.1, 0.2])
     with pytest.raises(ValueError, match="status codes"):
-        DistanceField(r=r, theta_deg=np.zeros(2), x0=_polar_columns(r, [0, 0]),
+        DistanceField(r=np.array([0.1, 0.2]), theta_deg=np.zeros(2),
                       final_distance=np.array([0.5, 0.5]),
                       status=np.array([1, code], dtype=np.int8))
 
@@ -902,6 +900,22 @@ def test_csv_round_trip(tmp_path):
     assert loaded.metadata.get("eta") == "0.1"
 
 
+@pytest.mark.parametrize("config", [
+    RunConfig(eta=0.1, max_iters=100),   # the step-map route
+    RunConfig(eta=0.1, max_iters=60, eps_stationary=1e-9,
+              escape_radius=50.0),
+])
+def test_csv_round_trip_is_bit_for_bit(tmp_path, config):
+    grid = PolarGrid(0.1, 0.5, 0.1, -180.0, 180.0, 0.7)
+    field = sweep(_rotated_saddle(), grid, config, RatioSigma())
+    path = tmp_path / "field.csv"
+    emit_csv(field, str(path))
+    loaded = load_csv(str(path))
+    for name in ("r", "theta_deg", "x0", "final_distance", "status"):
+        got, want = getattr(loaded, name), getattr(field, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_csv_round_trip_with_nan(tmp_path):
     grid = PolarGrid(0.5, 0.5, 1.0, 0.0, 60.0, 30.0)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -918,9 +932,7 @@ def _unchecked_field(r, theta, status, distance, metadata):
     """A DistanceField built past its checks, which NaN radii fail; the
     writer formats whatever columns it is given."""
     field = object.__new__(DistanceField)
-    with np.errstate(invalid="ignore"):   # a signalling NaN radius
-        x0 = _polar_columns(r, theta)
-    columns = dict(r=r, theta_deg=theta, x0=x0, final_distance=distance,
+    columns = dict(r=r, theta_deg=theta, final_distance=distance,
                    status=status, metadata=metadata)
     for name, value in columns.items():
         object.__setattr__(field, name, value)
@@ -947,7 +959,8 @@ def test_csv_blocks_match_row_by_row_format(tmp_path):
     distance = np.concatenate([field.final_distance, np.ones(len(extra))])
     distance = np.where(status == 3, math.nan, distance)
     mixed = _unchecked_field(r, theta, status, distance, field.metadata)
-    assert mixed.x0[:len(field)].tobytes() == field.x0.tobytes()
+    with np.errstate(invalid="ignore"):   # x0 of a signalling NaN radius
+        assert mixed.x0[:len(field)].tobytes() == field.x0.tobytes()
     # every radius different, across a block boundary; and a single row
     count = block + 5
     distinct = _unchecked_field(np.linspace(0.1, 2.0, count),
@@ -960,8 +973,9 @@ def test_csv_blocks_match_row_by_row_format(tmp_path):
     for name, case in (("mixed", mixed), ("distinct", distinct),
                        ("single", single)):
         path = tmp_path / f"{name}.csv"
-        emit_csv(case, str(path))
-        assert path.read_text() == _row_by_row_csv(case), name
+        with np.errstate(invalid="ignore"):
+            emit_csv(case, str(path))
+            assert path.read_text() == _row_by_row_csv(case), name
 
 
 def _format_column(values):
@@ -1041,9 +1055,10 @@ def _row_by_row_csv(field):
     lines = [f"# {key}: {field.metadata[key]}"
              for key in sorted(field.metadata)]
     lines.append(experiments._CSV_HEADER)
+    x0 = field.x0   # derived on each read, so read once
     for i in range(len(field)):
         lines.append("%.17g,%.17g,%.17g,%.17g,%.17g,%s" % (
-            field.r[i], field.theta_deg[i], field.x0[i, 0], field.x0[i, 1],
+            field.r[i], field.theta_deg[i], x0[i, 0], x0[i, 1],
             field.final_distance[i],
             experiments.STATUS_STRINGS[field.status[i]]))
     return "\n".join(lines) + "\n"
@@ -1067,11 +1082,10 @@ def test_csv_matches_row_by_row_for_odd_columns(tmp_path):
     # the exact path leaves to the fallback
     count = 3 * experiments._CSV_BLOCK_ROWS + 5
     r = np.repeat(np.array([1, 2, 7]), count // 3 + 1)[:count]
-    theta = np.linspace(-180.0, 180.0, count)
+    angles = np.zeros((count, 2))
+    theta = angles[:, 0]
+    theta[:] = np.linspace(-180.0, 180.0, count)
     theta[:4] = [0.0, 90.0, -90.0, 180.0]
-    table = np.zeros((count, 4))
-    table[:, 0] = r * np.cos(np.radians(theta))
-    table[:, 2] = r * np.sin(np.radians(theta))
     status = (np.arange(count) % 4).astype(np.int8)
     distances = np.zeros((count, 3))
     distances[:, 1] = np.geomspace(1e-9, 1e20, count)
@@ -1079,10 +1093,10 @@ def test_csv_matches_row_by_row_for_odd_columns(tmp_path):
                         1e16, 1.5e-300]
     distances[status == 3, 1] = math.nan
     distances[[7, 11], 1] = [math.inf, -math.inf]   # failed cells
-    field = DistanceField(r=r, theta_deg=theta, x0=table[:, ::2],
+    field = DistanceField(r=r, theta_deg=theta,
                           final_distance=distances[:, 1], status=status,
                           metadata={"kind": "odd columns"})
-    assert not field.x0.flags.c_contiguous
+    assert not field.theta_deg.flags.c_contiguous
     assert not field.final_distance.flags.c_contiguous
     path = tmp_path / "odd.csv"
     emit_csv(field, str(path))

@@ -1,6 +1,7 @@
 """Tests for the symmetric eigensolver and dense solve."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,24 @@ def test_dense_solve_singular():
     with pytest.raises(SingularMatrixError) as info:
         dense_solve(m, np.ones(2))
     assert info.value.pivot_index in (0, 1)
+
+
+def test_dense_solve_threshold_does_not_overflow():
+    # the squares of entries near 1e300 overflow; the Frobenius norm
+    # behind the singularity threshold must not
+    m = 1e300 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    y = np.array([1.0, -2.0])
+    ring = CirculantSmoother(5, 1e300).dense()   # 1e300 L to round-off
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_allclose(dense_solve(m, y), np.linalg.solve(m, y),
+                                   rtol=1e-14, atol=0.0)
+        with pytest.raises(SingularMatrixError) as info:
+            dense_solve(ring, np.arange(5.0))
+    # singular at working precision: the ring's last pivot, against
+    # 1e-13 ||ring||_F = 1e-13 * 1e300 * sqrt(5 * 2^2 + 10 * 1^2)
+    assert info.value.pivot_index == 4
+    assert str(info.value).endswith(f"<= {1e-13 * 1e300 * math.sqrt(30):.3e}")
 
 
 def test_dense_solve_shape_errors():

@@ -135,7 +135,7 @@ def test_trajectory_recording():
 def test_numeric_error_reports_iteration():
     objective = canonical_objective(2, scale=2.0)
     config = RunConfig(eta=1e300, max_iters=50)
-    with pytest.raises(NumericError) as info, np.errstate(over="ignore"):
+    with pytest.raises(NumericError) as info:
         run(objective, np.array([1.0, 1.0]), config, ConstantSigma(0.0))
     assert info.value.iteration >= 0
     assert info.value.iterate.shape == (2,)
@@ -370,11 +370,10 @@ def test_overflowing_iterate_raises_at_the_replay_step():
     objective = GradientFunction(2, lambda x: 1e200 * np.sign(x + 0.5))
     config = RunConfig(eta=1e110, max_iters=50)
     x0 = np.array([1.0, 1.0])
-    with np.errstate(over="ignore"):
-        with pytest.raises(NumericError, match="iterate") as got:
-            run(objective, x0, config, ConstantSigma(0.0))
-        with pytest.raises(NumericError) as expect:
-            _replay(objective, x0, config, ConstantSigma(0.0))
+    with pytest.raises(NumericError, match="iterate") as got:
+        run(objective, x0, config, ConstantSigma(0.0))
+    with pytest.raises(NumericError) as expect, np.errstate(over="ignore"):
+        _replay(objective, x0, config, ConstantSigma(0.0))
     assert got.value.iteration == expect.value.iteration == 1
     assert np.array_equal(got.value.iterate, expect.value.iterate)
 
