@@ -350,9 +350,17 @@ def test_field_validation(tmp_path):
                       status=np.array([0], dtype=np.int8))
 
 
-@pytest.mark.parametrize("column", ["r", "theta_deg"])
-def test_field_validation_rejects_nan_coordinates(column):
+@pytest.mark.parametrize("column", ["r", "theta_deg", "x0"])
+def test_field_validation_rejects_nan_coordinates(tmp_path, column):
     columns = dict(r=np.array([0.1, 0.2]), theta_deg=np.array([0.0, 30.0]))
+    if column == "x0":
+        # a field derives its starts, so a NaN start can only come from a
+        # file
+        x0 = _polar_columns(columns["r"], columns["theta_deg"])
+        x0[1, 0] = math.nan
+        assert not _loads(tmp_path / "nan.csv", columns["r"],
+                          columns["theta_deg"], x0)
+        return
     columns[column][1] = math.nan
     with pytest.raises(ValueError, match="polar"):
         DistanceField(final_distance=np.array([0.5, 0.5]),
