@@ -906,47 +906,61 @@ def _scaled(a, k):
     return prod, err
 
 
+def _csv_lines(handle, metadata):
+    """The non-empty lines of a CSV file other than its "# key: value"
+    metadata lines, which go into ``metadata``."""
+    for line in handle:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("# "):
+            key, _, value = line[2:].partition(": ")
+            metadata[key] = value
+            continue
+        yield line
+
+
 def load_csv(path):
-    """Parse a file written by :func:`emit_csv` back into a DistanceField."""
+    """Parse a file written by :func:`emit_csv` back into a DistanceField.
+
+    Two passes over the file: the first reads the metadata, checks the
+    header and counts the rows, the second parses each row into columns
+    allocated for that count, so no row outlives its parse.
+    """
     metadata = {}
-    rows = []
     with open(path) as handle:
-        header = None
-        for line in handle:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("# "):
-                key, _, value = line[2:].partition(": ")
-                metadata[key] = value
-                continue
-            if header is None:
-                header = line
-                if header != _CSV_HEADER:
-                    raise ValueError(f"unrecognized CSV header: {header!r}")
-                continue
-            rows.append(line.split(","))
-    if header is None:
-        raise ValueError("file has no CSV header line")
+        lines = _csv_lines(handle, metadata)
+        header = next(lines, None)
+        if header is None:
+            raise ValueError("file has no CSV header line")
+        if header != _CSV_HEADER:
+            raise ValueError(f"unrecognized CSV header: {header!r}")
+        n = sum(1 for _ in lines)
     codes = {name: i for i, name in enumerate(STATUS_STRINGS)}
-    n = len(rows)
     r = np.empty(n)
     theta = np.empty(n)
     x0 = np.empty((n, 2))
     dist = np.empty(n)
     status = np.empty(n, dtype=np.int8)
-    for i, parts in enumerate(rows):
-        if len(parts) != 6:
-            raise ValueError(f"row {i} has {len(parts)} fields, expected 6")
-        r[i], theta[i], x0[i, 0], x0[i, 1], dist[i] = map(float, parts[:5])
-        try:
-            status[i] = codes[parts[5]]
-        except KeyError:
-            raise ValueError(f"row {i} has unknown status {parts[5]!r}") from None
+    with open(path) as handle:
+        lines = _csv_lines(handle, {})
+        next(lines)   # the header
+        for i, line in enumerate(lines):
+            parts = line.split(",")
+            if len(parts) != 6:
+                raise ValueError(
+                    f"row {i} has {len(parts)} fields, expected 6")
+            r[i], theta[i], x0[i, 0], x0[i, 1], dist[i] = map(float, parts[:5])
+            try:
+                status[i] = codes[parts[5]]
+            except KeyError:
+                raise ValueError(
+                    f"row {i} has unknown status {parts[5]!r}") from None
     loaded = DistanceField(r=r, theta_deg=theta, final_distance=dist,
                            status=status, metadata=metadata)
     # x0 must match the field's starts; a NaN anywhere fails the check
-    if not np.max(np.abs(x0 - loaded.x0), initial=0.0) <= 1e-12:
+    deviation = np.abs(np.subtract(x0, loaded.x0, out=x0), out=x0)
+    if not np.max(deviation, initial=0.0) <= 1e-12:
         raise ValueError("x0 does not match its polar coordinates")
     return loaded
 

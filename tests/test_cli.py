@@ -11,8 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smoothgd import cli
+from smoothgd import cli, linalg
 from smoothgd.cli import main
+from smoothgd.smoothing import CirculantSmoother
 
 DATA = Path(__file__).parent / "data"
 
@@ -369,6 +370,60 @@ def test_analyze_at_huge_sigma_is_a_numerical_error(args, capsys):
     assert run_cli(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("smoothgd: error: ")
+
+
+@pytest.mark.parametrize("objective", ["canonical", "matrix"])
+def test_analyze_rejects_a_perturbed_eigenpair(objective, tmp_path,
+                                              monkeypatch, capsys):
+    # the canonical saddle goes through the blocked route, a general matrix
+    # through the whole-matrix route; in both, sigma = 1's second column
+    # moved by 1e-4 of its first fails the residual check on sigma = 1's turn
+    similar_eigh = linalg._similar_eigh
+    whole_matrix = []
+
+    def perturbed(b, sigmas, blocks=None):
+        whole_matrix.append(blocks is None)
+        values, vectors = similar_eigh(b, sigmas, blocks)
+        for i in np.flatnonzero(sigmas == 1.0):
+            vectors[i, :, 1] += 1e-4 * vectors[i, :, 0]
+        return values, vectors
+
+    monkeypatch.setattr(linalg, "_similar_eigh", perturbed)
+    if objective == "canonical":
+        args = ["analyze", "--n", "6"]
+    else:
+        mat = tmp_path / "b.txt"
+        write_matrix(mat, np.diag([2.0, 1.0, 0.5, -1.0]) + 0.1)
+        args = ["analyze", "--objective", str(mat)]
+    assert run_cli(args + ["--sigma-list", "0.1,1,10"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and "failed its residual check" in err[0]
+    assert set(whole_matrix) == {objective == "matrix"}
+
+
+def test_analyze_decides_a_loose_residual_bound_by_a_solve(monkeypatch,
+                                                          capsys):
+    # at n = 22 the residual check's stencil bound is above 1e-8 from about
+    # sigma = 6e5, so at 1e8 the exact solve decides, and passes; at the
+    # criterion-2 sigmas the bound accepts every pair with no solve
+    solved = []
+    solve = CirculantSmoother.solve
+
+    def spy(self, y):
+        solved.append(self.sigma)
+        return solve(self, y)
+
+    monkeypatch.setattr(CirculantSmoother, "solve", spy)
+    assert run_cli(["analyze", "--n", "22", "--sigma-list", "1e8"]) == 0
+    assert json.loads(capsys.readouterr().out)["per_sigma"][0]["labels"]
+    assert solved == [1e8]
+    solved.clear()
+    assert run_cli(["analyze", "--n", "22", "--sigma-list",
+                    "0.01,0.1,1,10,100"]) == 0
+    capsys.readouterr()
+    assert solved == []
 
 
 def test_smooth_reports_thomas_breakdown(tmp_path, capsys):

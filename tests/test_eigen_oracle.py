@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from smoothgd import linalg, saddle
+from smoothgd import linalg, saddle, smoothing
 from smoothgd.linalg import EigenPair
 from smoothgd.smoothing import CirculantSmoother
 
@@ -216,3 +216,102 @@ def test_stacked_route_matches_the_per_sigma_oracle(n, monkeypatch):
                     _assert_same_structure(objective, sigma, pairs)
                 assert not saddle._shared.get()[1]   # every sigma shared
             monkeypatch.undo()
+
+
+# The residual check's stencil bound against the exact check it stands in
+# for: sigma = 0 and every power of ten from 1e-2 to 1e300, so the list
+# crosses where the bound's rounding allowance sends each sigma to the
+# exact check (near 6e5 at n = 22) and where Thomas breaks down (from about
+# 1e16 at small n).
+BOUND_SIZES = (2, 3, 5, 8, 13, 22, 40, 64, 70)
+BOUND_SIGMAS = (0.0,) + tuple(10.0 ** k for k in range(-2, 301))
+
+
+def _exact_columns(ops, vectors):
+    # the map back's columns: through A^(-1/2), renormalized, sign-fixed
+    mapped = smoothing._inv_sqrt_stack(
+        vectors, np.array([op.sigma for op in ops]))
+    mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
+    return linalg._sign_fix_columns(mapped)
+
+
+def _exact_residual(op, b, value, col):
+    return np.max(np.linalg.norm(op.solve(b @ col) - col * value, axis=0))
+
+
+def _exact_map_back(ops, b, values, vectors):
+    # the map back with every sigma checked by its own solve, as before
+    # the stencil bound
+    cols = _exact_columns(ops, vectors)
+    order = np.argsort(-values, axis=1, kind="stable")
+    ranked = zip(np.take_along_axis(values, order, axis=1),
+                 np.take_along_axis(cols, order[:, None, :], axis=2))
+    for op, value, col, result in zip(ops, values, cols, ranked):
+        residual = _exact_residual(op, b, value, col)
+        if not residual <= 1e-8:
+            raise linalg.ConvergenceError(
+                "back-transformed eigenpair failed its residual check",
+                residual)
+        yield result
+
+
+def _outcomes(map_back, ops, b, values, vectors, stack=4):
+    """Each sigma's yield or exception, in stacks of ``stack`` sigmas.
+
+    After an exception the stream restarts at the next sigma of its stack.
+    """
+    out, start = [], 0
+    while start < len(ops):
+        end = (start // stack + 1) * stack
+        stream = map_back(ops[start:end], b, values[start:end],
+                          vectors[start:end])
+        try:
+            for got_values, got_cols in stream:
+                out.append((got_values.tobytes(), got_cols.tobytes()))
+                start += 1
+        except (ArithmeticError, RuntimeError, RuntimeWarning) as exc:
+            out.append((type(exc), str(exc),
+                        np.float64(getattr(exc, "residual", 0.0)).tobytes()))
+            start += 1
+    return out
+
+
+def _bound_matrices(n):
+    # the canonical saddle, a seeded random matrix and one with a repeated
+    # eigenvalue
+    rng = np.random.default_rng(7700 + n)
+    yield saddle.canonical_objective(n)
+    for repeated in (False, True):
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        values = rng.uniform(0.5, 3.0, n) * rng.choice([-1.0, 1.0], n)
+        if repeated:
+            values[-1] = values[0]
+        m = q @ np.diag(values) @ q.T
+        yield saddle.QuadraticObjective(0.5 * (m + m.T))
+
+
+@pytest.mark.parametrize("n", BOUND_SIZES)
+def test_stencil_bound_decides_as_the_exact_check(n):
+    accepted = decided_exactly = 0
+    for objective in _bound_matrices(n):
+        b = objective.matrix
+        ops = [CirculantSmoother(n, s) for s in BOUND_SIGMAS]
+        values, vectors = linalg._similar_eigh(
+            b, np.array(BOUND_SIGMAS), saddle._blocks(objective))
+        # raises where the exact check fails, with its residual (or the
+        # same Thomas breakdown), and yields the same bits elsewhere; the
+        # oracle runs a sigma at a time, the map back in stacks
+        assert (_outcomes(linalg._map_back, ops, b, values, vectors)
+                == _outcomes(_exact_map_back, ops, b, values, vectors, 1))
+        # wherever the bound accepts, the exact residual is within 1e-8
+        cols = _exact_columns(ops, vectors)
+        bounds = linalg._residual_bounds(
+            b, np.array(BOUND_SIGMAS), values, cols)
+        for op, value, col, bound in zip(ops, values, cols, bounds):
+            if bound <= 1e-8:
+                accepted += 1
+                assert _exact_residual(op, b, value, col) <= 1e-8
+            else:
+                decided_exactly += 1
+    # both sides of the bound are reached
+    assert accepted >= 3 * 6 and decided_exactly > 0

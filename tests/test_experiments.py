@@ -6,6 +6,7 @@ import os
 import stat
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -922,6 +923,31 @@ def test_csv_round_trip_is_bit_for_bit(tmp_path, config):
     for name in ("r", "theta_deg", "x0", "final_distance", "status"):
         got, want = getattr(loaded, name), getattr(field, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_load_csv_memory_is_that_of_its_columns(tmp_path):
+    # rows are parsed into columns allocated for the counted rows, so the
+    # traced peak is about 90 bytes a row (the field's 25, x0's 16 and the
+    # derived starts it is checked against); holding every row's split
+    # strings first would take about 660
+    n = 5000
+    rng = np.random.default_rng(11)
+    field = DistanceField(r=rng.uniform(0.1, 1.0, n),
+                          theta_deg=rng.uniform(-180.0, 180.0, n),
+                          final_distance=rng.uniform(0.0, 5.0, n),
+                          status=rng.integers(0, 3, n).astype(np.int8),
+                          metadata={"eta": "0.1"})
+    path = tmp_path / "field.csv"
+    emit_csv(field, str(path))
+    tracemalloc.start()
+    try:
+        loaded = load_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 150 * n
+    for name in ("r", "theta_deg", "final_distance", "status"):
+        assert getattr(loaded, name).tobytes() == getattr(field, name).tobytes()
 
 
 def test_csv_round_trip_with_nan(tmp_path):

@@ -170,14 +170,39 @@ def test_threaded_sweep_matches_the_whole_grid_loop(config, monkeypatch):
     PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, 0.25),
     PolarGrid(0.25, 2.0, 0.35, 13.1, 131.7, 0.013),   # part of a circle
 ])
-def test_sweep_starts_match_the_per_cell_formula(grid):
-    field = sweep(QuadraticObjective(np.diag([1.0, -1.0])), grid,
-                  RunConfig(max_iters=0), ConstantSigma(0.0))
-    theta = np.radians(field.theta_deg)
-    assert (field.x0[:, 0].tobytes()
-            == (field.r * np.cos(theta)).tobytes())
-    assert (field.x0[:, 1].tobytes()
-            == (field.r * np.sin(theta)).tobytes())
+def test_sweep_starts_match_the_per_cell_formula(grid, monkeypatch):
+    # the starts _swept_blocks hands _advance_cells, block after block, are
+    # the field's derived x0 bit for bit.  With no stop rule the sweep takes
+    # the step-map route, where at max_iters = 0 T is the identity and T x0
+    # is x0; an escape radius sends it down the kernel route
+    step_maps, handed = [], []
+    finite_step_map = experiments._finite_step_map
+    advance = experiments._advance_cells
+
+    def step_map_spy(*args):
+        step_maps.append(finite_step_map(*args))
+        return step_maps[-1]
+
+    def advance_spy(b00, b01, b11, x0c, x1c, config, schedule):
+        handed.append((x0c.copy(), x1c.copy()))
+        return advance(b00, b01, b11, x0c, x1c, config, schedule)
+
+    monkeypatch.setattr(experiments, "_finite_step_map", step_map_spy)
+    monkeypatch.setattr(experiments, "_advance_cells", advance_spy)
+    monkeypatch.setattr(experiments, "_MAP_BLOCK_CELLS", 1000)
+    for escape_radius, step_map in ((math.inf, (1.0, 0.0, 0.0, 1.0)),
+                                    (1e6, None)):
+        step_maps.clear()
+        handed.clear()
+        field = sweep(QuadraticObjective(np.diag([1.0, -1.0])), grid,
+                      RunConfig(max_iters=0, escape_radius=escape_radius),
+                      ConstantSigma(0.0))
+        assert step_maps == [step_map]
+        assert len(handed) > 1
+        x0 = field.x0
+        for k in (0, 1):
+            assert (np.concatenate([h[k] for h in handed]).tobytes()
+                    == x0[:, k].tobytes())
 
 
 def _kernel_step_map(b, config, schedule):
