@@ -177,7 +177,7 @@ def _cmd_smooth(args):
 
 def _cmd_optimize(args):
     x0 = _read_vector(args.x0)
-    # the canonical matrix is dense n x n: check --n before building it
+    # check --n against --x0 before building the objective
     if args.objective == "canonical" and args.n not in (None, len(x0)):
         raise UsageError(f"--x0 holds {len(x0)} values but --n is {args.n}")
     objective = _objective_from(args.objective, args.n, args.c)

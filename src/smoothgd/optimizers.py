@@ -188,61 +188,69 @@ def run(objective, x0, config, schedule):
     does the same, and the next step's escape test reuses it.  A sum of
     squares is finite only if every entry is, and only where it is not does
     the exact entrywise test run, so a finite vector whose squares overflow
-    still passes (its norm is then inf, without a warning).  The step
-    solves through the public
-    :meth:`~smoothgd.smoothing.CirculantSmoother.solve`, whose input check
-    tests the gradient the same way once more.
+    still passes (its norm is then inf, without a warning).  The config and the objective's
+    ``gradient`` are read once, before the loop, and so is the ``solve`` of
+    the operator kept while sigma holds: every step solves through the
+    public :meth:`~smoothgd.smoothing.CirculantSmoother.solve`, which checks
+    the gradient's shape again (and below n = 64 finds a non-finite entry
+    through the elimination itself).
 
     Raises :class:`NumericError`, and gives no numpy warning, if an iterate
     or gradient turns non-finite; the exception carries the partial
     trajectory when recording is on.
     """
+    n = objective.dim
     x = np.asarray(x0, dtype=float).copy()
-    if x.ndim != 1 or x.shape[0] != objective.dim:
+    if x.ndim != 1 or x.shape[0] != n:
         raise ValueError(
-            f"x0 must be a vector of length {objective.dim}, got shape {x.shape}")
+            f"x0 must be a vector of length {n}, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("x0 has non-finite entries")
-    # Squared norms come from np.vdot: the BLAS dot that ndarray.dot and
-    # np.linalg.norm use, bit for bit, but without their check of the
-    # floating-point flags, so a non-finite or overflowing vector costs no
+    gradient = objective.gradient
+    eta, max_iters = config.eta, config.max_iters
+    eps, radius = config.eps_stationary, config.escape_radius
+    escapes = radius < math.inf
+    # Squared norms come from ndarray.dot: the BLAS dot that np.vdot and
+    # np.linalg.norm use, bit for bit, as a method call without their
+    # dispatch.  It checks the floating-point flags, which the errstate
+    # below turns off, so a non-finite or overflowing vector costs no
     # warning.  x is always a fresh contiguous vector here.
-    xx = np.vdot(x, x)
     trajectory = [x.copy()] if config.record_trajectory else None
     smoother = None
     sigma_prev = None
     k = 0
     with np.errstate(over="ignore", invalid="ignore"):
+        xx = x.dot(x)
         while True:
-            grad = np.asarray(objective.gradient(x), dtype=float)
+            grad = np.asarray(gradient(x), dtype=float)
             if grad.shape != x.shape:
                 raise ValueError(f"gradient shape {grad.shape} does not match "
                                  f"point shape {x.shape}")
             # exactly what np.linalg.norm computes for a 1-d float array (dot
             # in memory order, then sqrt), without its dispatch overhead
             flat = grad.ravel(order="K")
-            gg = np.vdot(flat, flat)
+            gg = flat.dot(flat)
             if not gg < math.inf and not np.isfinite(grad).all():
                 raise NumericError("gradient has non-finite entries",
                                    x.copy(), k, trajectory)
             gnorm = math.sqrt(gg)
-            if gnorm <= config.eps_stationary:
+            if gnorm <= eps:
                 status = RunStatus.REACHED_STATIONARY
                 break
-            if k >= config.max_iters:
+            if k >= max_iters:
                 status = RunStatus.MAX_ITERS
                 break
-            if (config.escape_radius < math.inf
-                    and math.sqrt(xx) > config.escape_radius):
+            if escapes and math.sqrt(xx) > radius:
                 status = RunStatus.ESCAPED
                 break
             sigma = float(schedule(k))
             if smoother is None or sigma != sigma_prev:
-                smoother = CirculantSmoother(objective.dim, sigma)
+                smoother = CirculantSmoother(n, sigma)
+                solve = smoother.solve
                 sigma_prev = sigma
-            x = x - config.eta * smoother.solve(grad)
+            x = x - eta * solve(grad)
             k += 1
-            xx = np.vdot(x, x)
+            xx = x.dot(x)
             if not xx < math.inf and not np.isfinite(x).all():
                 raise NumericError("iterate has non-finite entries", x, k,
                                    trajectory)

@@ -66,27 +66,57 @@ class ClassificationError(RuntimeError):
         self.residuals = residuals
 
 
-@dataclass(frozen=True, eq=False)
 class QuadraticObjective:
-    """f(x) = (scale / 2) * x^T matrix x with a symmetric matrix."""
+    """f(x) = (scale / 2) * x^T matrix x with a symmetric matrix.
 
-    matrix: np.ndarray
-    scale: float = 1.0
+    ``canonical_objective`` keeps its diagonal Hessian as the vector d, so
+    ``gradient``, ``value`` and ``is_canonical`` take O(n) time and memory
+    and the dense ``matrix`` is built only when first read.  B x is then
+    d * x + 0.0: the added zero turns a -0.0 product into the +0.0 that the
+    dense product gives, so both forms agree bit for bit.
+    """
 
-    def __post_init__(self):
-        m = linalg._as_square(self.matrix)
+    def __init__(self, matrix, scale=1.0):
+        m = linalg._as_square(matrix)
         linalg._require_symmetric(m)
-        scale = float(self.scale)
-        if not np.isfinite(scale) or scale <= 0.0:
-            raise ValueError(f"scale must be finite and > 0, got {scale}")
         m = 0.5 * (m + m.T)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "scale", scale)
+        self._setup(m, None, scale)
+
+    @classmethod
+    def _from_diagonal(cls, d, scale=1.0):
+        # B = diag(d) for a finite 1-d float array d, kept as d
+        d = np.array(d, dtype=float)
+        d.setflags(write=False)
+        obj = cls.__new__(cls)
+        obj._setup(None, d, scale)
+        return obj
+
+    def _setup(self, matrix, diagonal, scale):
+        scale = float(scale)
+        if not np.isfinite(scale) or scale <= 0.0:
+            raise ValueError(f"scale must be finite and > 0, got {scale}")
+        self._matrix = matrix
+        self._diagonal = diagonal
+        self._scale = scale
+
+    @property
+    def scale(self):
+        return self._scale
+
+    @property
+    def matrix(self):
+        """B as a read-only (n, n) array, built once from a diagonal."""
+        if self._matrix is None:
+            m = np.diag(self._diagonal)
+            m.setflags(write=False)
+            self._matrix = m
+        return self._matrix
 
     @property
     def dim(self):
-        return self.matrix.shape[0]
+        b = self._matrix if self._diagonal is None else self._diagonal
+        return b.shape[0]
 
     @functools.cached_property
     def is_canonical(self):
@@ -94,15 +124,30 @@ class QuadraticObjective:
         # objectives that never ask
         ref = np.ones(self.dim)
         ref[-1] = -1.0
-        return bool(np.max(np.abs(self.matrix - np.diag(ref))) <= 1e-12)
+        if self._diagonal is not None:
+            return bool(np.max(np.abs(self._diagonal - ref)) <= 1e-12)
+        return bool(np.max(np.abs(self._matrix - np.diag(ref))) <= 1e-12)
+
+    def _product(self, x):
+        # B x for a vector x
+        if self._diagonal is None:
+            return self._matrix @ x
+        if x.shape != self._diagonal.shape:
+            raise ValueError(f"expected a vector of length {self.dim}, "
+                             f"got shape {x.shape}")
+        bx = self._diagonal * x
+        bx += 0.0
+        return bx
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        return 0.5 * self.scale * float(x @ (self.matrix @ x))
+        return 0.5 * self._scale * float(x @ self._product(x))
 
     def gradient(self, x):
         x = np.asarray(x, dtype=float)
-        return self.scale * (self.matrix @ x)
+        g = self._product(x)
+        # 1.0 * g is g bit for bit, so the default scale costs no product
+        return g if self._scale == 1.0 else self._scale * g
 
     def describe(self):
         kind = "canonical" if self.is_canonical else "matrix"
@@ -115,7 +160,7 @@ def canonical_objective(n, scale=1.0):
         raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
     d = np.ones(int(n))
     d[-1] = -1.0
-    return QuadraticObjective(np.diag(d), scale)
+    return QuadraticObjective._from_diagonal(d, scale)
 
 
 class ModeClass(Enum):

@@ -47,6 +47,11 @@ __all__ = ["CirculantSmoother", "solve_smoothed_pair"]
 # smallest n whose default solve is the real FFT rather than Thomas
 _FOURIER_FROM_N = 64
 
+# Thomas's Sherman-Morrison fold-in w - q t runs in numpy only below this
+# |t|.  Every |q_i| is below 1 (each row of T has a diagonal margin of more
+# than |u_i|), so no q_i t can overflow.
+_FOLD_IN_LIMIT = 2.0 ** 1000
+
 
 @functools.lru_cache(maxsize=8)
 def _ring_symbol(n):
@@ -107,8 +112,8 @@ class CirculantSmoother:
     """The smoothing operator for a fixed dimension n and strength sigma.
 
     Instances are immutable.  The Thomas factorization is computed lazily on
-    the first ``solve_thomas`` call and cached, so repeated solves at the
-    same sigma (e.g. after a schedule plateaus) reuse it.
+    the first Thomas solve and cached, so repeated solves at the same sigma
+    (e.g. after a schedule plateaus) reuse it.
     """
 
     def __init__(self, n, sigma):
@@ -132,11 +137,18 @@ class CirculantSmoother:
         return self._sigma
 
     def _check(self, x):
+        return self._require_finite(self._as_input(x))
+
+    def _as_input(self, x):
         x = np.asarray(x, dtype=float)
         if x.ndim not in (1, 2) or x.shape[0] != self._n:
             raise ValueError(
                 f"expected shape ({self._n},) or ({self._n}, k), "
                 f"got {x.shape}")
+        return x
+
+    @staticmethod
+    def _require_finite(x):
         # a sum of squares is finite only if every entry is; the exact
         # entrywise test runs only where it is not, so finite entries whose
         # squares overflow still pass.  np.vdot checks no floating-point
@@ -193,7 +205,9 @@ class CirculantSmoother:
         # corners: T[0,0] = d - gamma, T[n-1,n-1] = d - c**2 / gamma,
         # u = (gamma, 0, ..., 0, -c), v = (1, 0, ..., 0, -c/gamma),
         # d = 1 + 2*c, gamma = -d.  That choice keeps T diagonally
-        # dominant, so elimination needs no pivoting.
+        # dominant, so elimination needs no pivoting.  Cached as the
+        # elimination denominators, q = T^-1 u as a read-only array,
+        # c/gamma and 1 + v^T q.
         if self._thomas is None:
             n, c = self._n, self._c
             d = 1.0 + 2.0 * c
@@ -216,7 +230,9 @@ class CirculantSmoother:
                 raise ArithmeticError(
                     f"Thomas elimination breaks down at sigma = "
                     f"{self._sigma:g} (n = {n})")
-            self._thomas = (denom, q, v_dot_q, gamma)
+            q = np.array(q)
+            q.setflags(write=False)
+            self._thomas = (denom, q, c / gamma, 1.0 + v_dot_q)
         return self._thomas
 
     def _tri_solve(self, denom, x):
@@ -225,14 +241,44 @@ class CirculantSmoother:
         # vector, row arrays for an (n, k) array, so each column gets
         # exactly the arithmetic of a single vector.  The same IEEE
         # operations in the same order as a loop over numpy scalars, without
-        # numpy's per-element indexing cost.
+        # numpy's per-element indexing cost; the row just computed is
+        # carried in a local rather than read back from the list.
         n, c = self._n, self._c
+        prev = x[0]
         for i in range(1, n):
-            x[i] = x[i] + c * x[i - 1] / denom[i - 1]
-        x[-1] = x[-1] / denom[-1]
+            prev = x[i] = x[i] + c * prev / denom[i - 1]
+        prev = x[-1] = prev / denom[-1]
         for i in range(n - 2, -1, -1):
-            x[i] = (x[i] + c * x[i + 1]) / denom[i]
+            prev = x[i] = (x[i] + c * prev) / denom[i]
         return x
+
+    def _thomas_solve(self, y):
+        # solve_thomas on an input of a valid shape, which this tests for
+        # non-finite entries.  Each sweep carries a NaN or inf on to every
+        # row after it, so one anywhere in a vector reaches w[0] and t, and
+        # Python floats raise no warning on the way: on an operator that
+        # has its factors, a vector is tested only where |t| is not below
+        # _FOLD_IN_LIMIT.  A block's rows are arrays, whose arithmetic would
+        # warn, so a block is tested first, as is every input before the
+        # factorization, whose breakdown is reported after input errors.
+        if self._sigma == 0.0:
+            return self._require_finite(y).copy()
+        if y.ndim == 2 or self._thomas is None:
+            self._require_finite(y)
+        denom, q, c_over_gamma, pivot = (self._thomas
+                                         or self._thomas_factors())
+        w = self._tri_solve(denom, y.tolist() if y.ndim == 1 else list(y))
+        t = (w[0] - c_over_gamma * w[-1]) / pivot
+        if y.ndim == 2:
+            return np.array(w) - np.multiply.outer(q, t)
+        if abs(t) < _FOLD_IN_LIMIT:
+            # numpy rounds each entry as the scalar w_i - q_i * t
+            return np.subtract(w, q * t)
+        # a NaN or inf t (from a non-finite entry, or from finite entries
+        # whose elimination overflowed) or a huge one: q has exact zeros
+        # where it underflows, and 0 * inf in numpy would warn
+        self._require_finite(y)
+        return np.array([wi - qi * t for wi, qi in zip(w, q.tolist())])
 
     def solve_thomas(self, y):
         """Solve A x = y by tridiagonal elimination.
@@ -244,17 +290,7 @@ class CirculantSmoother:
         large sigma, it raises ArithmeticError instead of returning inf or
         NaN.
         """
-        y = self._check(y)
-        if self._sigma == 0.0:
-            return y.copy()
-        denom, q, v_dot_q, gamma = self._thomas_factors()
-        w = self._tri_solve(denom, y.tolist() if y.ndim == 1 else list(y))
-        v_dot_w = w[0] - (self._c / gamma) * w[-1]
-        t = v_dot_w / (1.0 + v_dot_q)
-        if y.ndim == 1:
-            # w_i - q_i * t, as np.multiply.outer would round it
-            return np.array([wi - qi * t for wi, qi in zip(w, q)])
-        return np.array(w) - np.multiply.outer(q, t)
+        return self._thomas_solve(self._as_input(y))
 
     def solve(self, y):
         """Default solve: ``solve_thomas`` below n = 64, ``solve_dft`` from it.
@@ -263,11 +299,16 @@ class CirculantSmoother:
         with or without a new operator per solve, and the result is that
         route's bit for bit.  The small sizes, where descent's attraction
         behaviour is tested and where a Fourier solve's round-off lets more
-        antisymmetric starts escape, keep Thomas's exact arithmetic.
+        antisymmetric starts escape, keep Thomas's exact arithmetic.  Below
+        the crossover the input's shape is checked and it is eliminated
+        straight away with the operator's cached factors; once those exist,
+        a vector's entries are tested for NaN and inf only where the
+        elimination turns out non-finite or huge.  So this is the cheapest
+        way to make repeated small solves (descent makes one a step).
         """
-        if self._n < _FOURIER_FROM_N:
-            return self.solve_thomas(y)
-        return self.solve_dft(y)
+        if self._n >= _FOURIER_FROM_N:
+            return self.solve_dft(y)
+        return self._thomas_solve(self._as_input(y))
 
     def inv_sqrt_apply(self, x):
         """Apply A^(-1/2), the inverse symmetric square root.

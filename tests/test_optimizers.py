@@ -423,3 +423,137 @@ def test_gradient_of_the_wrong_shape_is_rejected():
         with pytest.raises(ValueError, match="gradient shape"):
             run(objective, np.ones(3), RunConfig(eta=0.1, max_iters=5),
                 ConstantSigma(0.0))
+
+
+def _parent_thomas(n, sigma, y):
+    """Thomas elimination on Python floats with a list-comprehension fold-in.
+
+    The same factorization and operation order as ``solve_thomas``, with
+    every row read back from its list and every entry of w - q t folded in
+    as a Python float.
+    """
+    if sigma == 0.0:
+        return y.copy()
+    c = sigma / 2.0 if n == 2 else sigma
+    d = 1.0 + 2.0 * c
+    gamma = -d
+    denom = [d - gamma] + [d] * (n - 2) + [d - c * c / gamma]
+    for i in range(1, n):
+        denom[i] = denom[i] - c * c / denom[i - 1]
+
+    def tri_solve(x):
+        for i in range(1, n):
+            x[i] = x[i] + c * x[i - 1] / denom[i - 1]
+        x[-1] = x[-1] / denom[-1]
+        for i in range(n - 2, -1, -1):
+            x[i] = (x[i] + c * x[i + 1]) / denom[i]
+        return x
+
+    q = tri_solve([gamma] + [0.0] * (n - 2) + [-c])
+    v_dot_q = q[0] - (c / gamma) * q[-1]
+    w = tri_solve(y.tolist())
+    t = (w[0] - (c / gamma) * w[-1]) / (1.0 + v_dot_q)
+    return np.array([wi - qi * t for wi, qi in zip(w, q)])
+
+
+def _dense_step_replay(b, scale, x0, config, schedule):
+    """run() stepped with the dense gradient scale * (b @ x): the oracle.
+
+    Below n = 64 the solve is :func:`_parent_thomas`, from it the FFT
+    route.  Returns (trajectory, iterations, status, final gradient norm,
+    NumericError or None); the trajectory holds every iterate made.
+    """
+    n = len(x0)
+    x = x0.copy()
+    trajectory = [x]
+    k = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            grad = scale * (b @ x)
+            if not np.isfinite(grad).all():
+                return trajectory, k, None, None, "gradient"
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm <= config.eps_stationary:
+                return trajectory, k, RunStatus.REACHED_STATIONARY, gnorm, None
+            if k >= config.max_iters:
+                return trajectory, k, RunStatus.MAX_ITERS, gnorm, None
+            if np.linalg.norm(x) > config.escape_radius:
+                return trajectory, k, RunStatus.ESCAPED, gnorm, None
+            sigma = float(schedule(k))
+            if n < _FOURIER_FROM_N:
+                step = _parent_thomas(n, sigma, grad)
+            else:
+                step = CirculantSmoother(n, sigma).solve_dft(grad)
+            x = x - config.eta * step
+            k += 1
+            trajectory.append(x)
+            if not np.isfinite(x).all():
+                return trajectory, k, None, None, "iterate"
+
+
+_ORACLE_SCHEDULES = {"gd": ConstantSigma(0.0), "constant": ConstantSigma(0.7),
+                     "ratio": RatioSigma(), "plateau": PlateauSigma(8)}
+
+_ORACLE_CONFIGS = (
+    RunConfig(eta=0.1, max_iters=20, record_trajectory=True),
+    RunConfig(eta=0.1, max_iters=60, eps_stationary=1e-2, escape_radius=10.0,
+              record_trajectory=True),
+    # iterates overflow within a few steps: the NumericError's iteration
+    RunConfig(eta=1e120, max_iters=40, record_trajectory=True),
+)
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_SCHEDULES))
+def test_run_matches_the_dense_gradient_and_list_fold_step(name):
+    # every iterate's bytes, the status, the iteration count and the step
+    # of a NumericError, for the canonical saddle (kept as its diagonal)
+    # and seeded dense matrices.  The starts are random, antisymmetric (the
+    # last entry is exactly 0, where d * x alone would give -0.0 and the
+    # dense product gives +0.0) and random with -0.0 entries, where that
+    # sign would reach the iterates: under gd, -0.0 - 0.1 * (-0.0) is +0.0
+    schedule = _ORACLE_SCHEDULES[name]
+    rng = np.random.default_rng(2300)
+    seen = set()
+    for n in range(2, 71):
+        m = rng.standard_normal((n, n))
+        dense = QuadraticObjective(0.5 * (m + m.T) / math.sqrt(n))
+        anti = np.zeros(n)
+        for k in range((n - 1) // 2):
+            c = rng.standard_normal()
+            anti[k] += c
+            anti[n - 2 - k] -= c
+        x0 = rng.standard_normal(n)
+        signed = rng.standard_normal(n)
+        signed[::2] = -0.0
+        cases = [(canonical_objective(n), anti),
+                 (canonical_objective(n), signed),
+                 (canonical_objective(n, scale=2.5), x0),
+                 (dense, rng.standard_normal(n)),
+                 # a gradient that overflows at the start
+                 (canonical_objective(n, scale=2.5),
+                  x0 / np.abs(x0).max() * 1e308)]
+        for objective, x0 in cases:
+            for config in _ORACLE_CONFIGS:
+                trajectory, k, status, gnorm, error = _dense_step_replay(
+                    objective.matrix, objective.scale, x0, config, schedule)
+                if error is not None:
+                    with pytest.raises(NumericError, match=error) as got:
+                        run(objective, x0, config, schedule)
+                    assert got.value.iteration == k
+                    assert (got.value.iterate.tobytes()
+                            == trajectory[-1 if error == "iterate" else k]
+                            .tobytes())
+                    points = got.value.trajectory
+                    seen.add(error)
+                else:
+                    result = run(objective, x0, config, schedule)
+                    assert (result.status, result.iterations_used,
+                            result.final_grad_norm) == (status, k, gnorm)
+                    points = result.trajectory
+                    seen.add(status)
+                # a NumericError's trajectory stops before the bad iterate
+                kept = trajectory[:len(points)]
+                assert len(points) == k + 1 - (error == "iterate")
+                assert all(p.tobytes() == q.tobytes()
+                           for p, q in zip(points, kept))
+    assert seen == {"gradient", "iterate", *RunStatus}

@@ -1,6 +1,7 @@
 """Tests for eigenstructure classification and attraction subspaces."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -40,6 +41,80 @@ def test_canonical_objective_shape():
     assert obj.scale == 2.0
     np.testing.assert_array_equal(obj.matrix, np.diag([1.0, 1.0, 1.0, -1.0]))
     assert not QuadraticObjective(np.eye(3)).is_canonical
+
+
+def test_canonical_objective_takes_o_n_memory():
+    # the dense 4096 x 4096 matrix alone would take 134 MB
+    n = 4096
+    x = np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        obj = canonical_objective(n)
+        obj.gradient(x)
+        obj.value(x)
+        assert obj.is_canonical
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # the matrix is built on its first read, once, and is read-only
+    matrix = obj.matrix
+    assert obj.matrix is matrix and not matrix.flags.writeable
+    d = np.ones(n)
+    d[-1] = -1.0
+    assert np.array_equal(matrix, np.diag(d))
+
+
+def _zeros_and_signs(rng, n):
+    # random entries with zeros of both signs, and an antisymmetric start
+    # whose last entry is exactly +0.0
+    x = rng.standard_normal(n)
+    x[rng.random(n) < 0.3] = 0.0
+    x[rng.random(n) < 0.3] = -0.0
+    anti = np.zeros(n)
+    for k in range((n - 1) // 2):
+        c = rng.standard_normal()
+        anti[k] += c
+        anti[n - 2 - k] -= c
+    return x, anti
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 63, 64, 513])
+@pytest.mark.parametrize("scale", [1.0, 2.0, 0.3])
+def test_diagonal_objective_matches_the_dense_product_bit_for_bit(rng, n,
+                                                                  scale):
+    canonical = canonical_objective(n, scale=scale)
+    d = rng.standard_normal(n)
+    d[0] = 0.0
+    for obj in (canonical, QuadraticObjective._from_diagonal(d, scale)):
+        dense = np.array(obj.matrix)
+        for x in _zeros_and_signs(rng, n):
+            # d * x is -0.0 where the dense product gives +0.0
+            assert (obj.gradient(x).tobytes()
+                    == (scale * (dense @ x)).tobytes())
+            assert obj.value(x) == 0.5 * scale * float(x @ (dense @ x))
+
+
+def test_diagonal_objective_validation():
+    d = np.array([2.0, -1.0, 0.5])
+    obj = QuadraticObjective._from_diagonal(d, scale=3.0)
+    assert obj.dim == 3 and obj.scale == 3.0 and not obj.is_canonical
+    assert obj.describe() == "matrix(n=3, scale=3)"
+    d[0] = 7.0   # the objective keeps its own copy
+    assert np.array_equal(obj.matrix, np.diag([2.0, -1.0, 0.5]))
+    with pytest.raises(ValueError, match="scale"):
+        QuadraticObjective._from_diagonal(d, scale=0.0)
+    # the gradient takes a vector of length n only, as the dense product
+    # of a vector does
+    for bad in (np.ones(1), np.float64(1.0), np.ones(4), np.eye(3)):
+        with pytest.raises(ValueError, match="vector of length 3"):
+            obj.gradient(bad)
+        with pytest.raises(ValueError, match="vector of length 3"):
+            obj.value(bad)
+    # the public constructor takes a square matrix, never a vector
+    for bad in ([1.0, 2.0], [[1.0, 2.0]], np.eye(4).ravel()):
+        with pytest.raises(ValueError, match="square"):
+            QuadraticObjective(np.array(bad))
 
 
 def test_structure_counts_n6():

@@ -196,6 +196,20 @@ def test_thomas_matches_the_numpy_scalar_loop_bit_for_bit(rng, n, sigma, k):
         assert got.tobytes() == expect.tobytes()  # signs of zeros too
 
 
+@pytest.mark.parametrize("sigma", [0.3, 2.0 / 3.0, 100.0])
+def test_default_solve_is_thomas_below_the_crossover(rng, sigma):
+    # solve eliminates with the cached factors; its bytes are
+    # solve_thomas's and the numpy-scalar loop's
+    for n in range(2, _FOURIER_FROM_N):
+        op = CirculantSmoother(n, sigma)
+        for shape in ((n,), (n, 3)):
+            for _ in range(2):   # the second solve reuses cached factors
+                y = rng.standard_normal(shape)
+                expect = _numpy_scalar_thomas(n, sigma, y).tobytes()
+                assert op.solve(y).tobytes() == expect
+                assert op.solve_thomas(y).tobytes() == expect
+
+
 def _reference_run(objective, x0, config, schedule):
     # run()'s loop as it was written on top of the numpy-scalar solve
     x = x0.copy()
@@ -328,6 +342,40 @@ def test_thomas_is_finite_or_raises_on_breakdown(rng, n, k):
         assert np.isfinite(x).all(), e
     assert raised and raised[0] >= 3   # sigma <= 100 is never affected
     assert 308 in raised
+    # a non-finite input is reported before the breakdown, by both routes
+    y[0] = np.nan
+    for e in raised:
+        for route in ("solve", "solve_thomas"):
+            with pytest.raises(ValueError, match="non-finite"):
+                getattr(CirculantSmoother(n, 10.0 ** e), route)(y)
+
+
+_MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("n, sigma, y", [
+    (3, 0.5, np.full(3, 1.7e308)),
+    (20, 0.5, np.full(20, 1.7e308)),
+    (63, 0.5, np.full(63, 1.7e308)),
+    # the first forward row overflows; q underflows to exact zeros in its
+    # middle rows, where 0 * inf in numpy would warn
+    (63, 1e-15, np.full(63, _MAX)),
+    # squares that overflow, with |t| above the fold-in limit and below it
+    (8, 0.5, np.tile([_MAX, -_MAX], 4)),
+    (31, 0.5, 1e300 * (np.arange(31) == 15)),
+])
+def test_thomas_overflow_of_finite_entries_is_silent(n, sigma, y):
+    # finite entries near the float limit pass the input check and come
+    # out as the numpy-scalar loop's values, inf and NaN, with no warning
+    # (a RuntimeWarning fails the test), from a fresh and a factored
+    # operator
+    with np.errstate(over="ignore", invalid="ignore"):
+        expect = _numpy_scalar_thomas(n, sigma, y)
+    for route in ("solve", "solve_thomas"):
+        op = CirculantSmoother(n, sigma)
+        for _ in range(2):
+            got = getattr(op, route)(y)
+            assert np.array_equal(got, expect, equal_nan=True)
 
 
 def test_inv_sqrt_shape_validation():
@@ -378,13 +426,16 @@ def test_validation():
 @pytest.mark.parametrize("method", ["solve", "solve_thomas", "solve_dft",
                                     "apply", "inv_sqrt_apply"])
 def test_input_check_finds_every_non_finite_entry(rng, n, method):
-    # the check reads finiteness off the sum of squares; it must still
-    # reject each single NaN or inf, in vectors, batches and strided views
-    # of them, and pass finite entries whose squares overflow, silently
+    # the check reads finiteness off the sum of squares, or for a Thomas
+    # vector solve with cached factors off the elimination's t; it must
+    # still reject each single NaN or inf, in vectors, batches and strided
+    # views of them, and pass finite entries whose squares overflow,
+    # silently.  The first vector meets an operator without factors, the
+    # last one an operator that has them
     call = getattr(CirculantSmoother(n, 0.5), method)
     batch = rng.standard_normal((n, 3))
     for y in (batch[:, 0], batch, np.asfortranarray(batch), batch[:, ::2],
-              batch.T.copy().T):
+              batch.T.copy().T, batch[:, 1]):
         for bad in (np.nan, np.inf, -np.inf):
             for i in range(y.size):
                 z = y.copy(order="K")
