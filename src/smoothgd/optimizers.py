@@ -188,12 +188,12 @@ def run(objective, x0, config, schedule):
     does the same, and the next step's escape test reuses it.  A sum of
     squares is finite only if every entry is, and only where it is not does
     the exact entrywise test run, so a finite vector whose squares overflow
-    still passes (its norm is then inf, without a warning).  The config and the objective's
-    ``gradient`` are read once, before the loop, and so is the ``solve`` of
-    the operator kept while sigma holds: every step solves through the
-    public :meth:`~smoothgd.smoothing.CirculantSmoother.solve`, which checks
-    the gradient's shape again (and below n = 64 finds a non-finite entry
-    through the elimination itself).
+    still passes (its norm is then inf, without a warning).  The config and
+    the objective's ``gradient`` are read once, before the loop, and so is
+    the ``solve`` of the operator kept while sigma holds: every step solves
+    through the public :meth:`~smoothgd.smoothing.CirculantSmoother.solve`,
+    which checks the gradient's shape again (and below n = 64 finds a
+    non-finite entry through the elimination itself).
 
     Raises :class:`NumericError`, and gives no numpy warning, if an iterate
     or gradient turns non-finite; the exception carries the partial
