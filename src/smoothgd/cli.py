@@ -362,13 +362,17 @@ def _build_parser():
                    default="thomas", help="solver route")
     p.set_defaults(func=_cmd_smooth)
 
-    p = sub.add_parser("optimize", help="run plain or smoothed descent")
-    p.add_argument("--objective", default="canonical",
-                   help="'canonical' or a matrix file")
-    p.add_argument("--n", type=int, default=None,
-                   help="dimension for the canonical objective")
-    p.add_argument("--c", type=float, default=1.0,
-                   help="scale multiplying the quadratic")
+    # the objective flags optimize and analyze share
+    objective = _Parser(add_help=False)
+    objective.add_argument("--objective", default="canonical",
+                           help="'canonical' or a matrix file")
+    objective.add_argument("--n", type=int, default=None,
+                           help="dimension for the canonical objective")
+    objective.add_argument("--c", type=float, default=1.0,
+                           help="scale multiplying the quadratic")
+
+    p = sub.add_parser("optimize", parents=[objective],
+                       help="run plain or smoothed descent")
     p.add_argument("--x0", required=True,
                    help="starting point, one number per line")
     p.add_argument("--eta", type=float, default=0.1, help="step size")
@@ -383,14 +387,8 @@ def _build_parser():
                    help="write every iterate to this CSV")
     p.set_defaults(func=_cmd_optimize)
 
-    p = sub.add_parser("analyze",
+    p = sub.add_parser("analyze", parents=[objective],
                        help="eigenstructure and attraction-region report")
-    p.add_argument("--objective", default="canonical",
-                   help="'canonical' or a matrix file")
-    p.add_argument("--n", type=int, default=None,
-                   help="dimension for the canonical objective")
-    p.add_argument("--c", type=float, default=1.0,
-                   help="scale multiplying the quadratic")
     p.add_argument("--sigma-list", default="0.1,1,5,50",
                    help="comma-separated smoothing strengths")
     p.add_argument("--report", default=None,

@@ -31,14 +31,14 @@ import contextvars
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import linalg
 from .optimizers import (RunConfig, RunStatus, _is_count, run,
                          stationarity_iteration_bound)
-from .smoothing import solve_smoothed_pair
+from .smoothing import _check_sigma, solve_smoothed_pair
 
 __all__ = [
     "PolarGrid",
@@ -122,9 +122,10 @@ class PolarGrid:
         return int(math.floor(min(ratio, MAX_GRID_CELLS) + 1e-9)) + 1
 
     def _theta_count(self):
+        # a positive span always holds theta_min, however wide the step
         span = self.theta_max_deg - self.theta_min_deg
         ratio = span / self.theta_step_deg
-        return int(math.ceil(min(ratio, MAX_GRID_CELLS + 1) - 1e-9))
+        return max(1, int(math.ceil(min(ratio, MAX_GRID_CELLS + 1) - 1e-9)))
 
     def r_values(self):
         return self.r_min + self.r_step * np.arange(self._r_count())
@@ -257,8 +258,8 @@ def _advance_cells(b00, b01, b11, x0c, x1c, config, schedule):
                 y0, y1, g0, g1 = y0[keep], y1[keep], g0[keep], g1[keep]
         elif budget:
             break
-        y0, y1, g0, g1 = _step(b00, b01, b11, eta, _sigma(schedule, k),
-                               y0, y1, g0, g1)
+        y0, y1, g0, g1 = _step(b00, b01, b11, eta,
+                               _check_sigma(schedule(k)), y0, y1, g0, g1)
     if live is None:
         status[:] = _MAX_ITERS
         return y0, y1, status
@@ -281,14 +282,6 @@ def _step(b00, b01, b11, eta, sigma, y0, y1, g0, g1):
     y0 = y0 - eta * s0
     y1 = y1 - eta * s1
     return (y0, y1, *_gradient(b00, b01, b11, y0, y1))
-
-
-def _sigma(schedule, k):
-    """The schedule's sigma at step k, rejected as run() rejects it."""
-    sigma = float(schedule(k))
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return sigma
 
 
 def sweep(objective, grid, config, schedule, threads=None):
@@ -509,7 +502,7 @@ def _step_map(b, config, schedule):
         running = [j for j in running if _runs_on(*columns[j])]
         if not running:
             break
-        sigma = _sigma(schedule, k)
+        sigma = _check_sigma(schedule(k))
         for j in running:
             columns[j] = _step(*b, eta, sigma, *columns[j])
     (t00, t10, _, _), (t01, t11, _, _) = columns
@@ -967,13 +960,7 @@ def load_csv(path):
 
 def write_summary_json(summary, path):
     """Write a field summary as a small JSON document, atomically."""
-    payload = {
-        "min_distance": summary.min_distance,
-        "argmin_r": summary.argmin_r,
-        "argmin_theta_deg": summary.argmin_theta_deg,
-        "max_distance": summary.max_distance,
-        "failed_cells": summary.failed_cells,
-    }
-    if summary.cells_below is not None:
-        payload["cells_below"] = summary.cells_below
+    payload = asdict(summary)
+    if summary.cells_below is None:
+        del payload["cells_below"]
     atomic_write(path, json.dumps(payload, indent=2) + "\n")

@@ -8,9 +8,13 @@ or per invariant block, and one stacked map back.  The map back checks
 every eigenpair's residual ||A^(-1) B v - lambda v|| <= 1e-8 through an
 upper bound taken for the whole stack with the ring stencil and no solve
 (A >= I, so ||B v - lambda A v|| bounds it); only a sigma whose bound is
-above 1e-8 (from sigma near 1e4 to 1e6, by n) is checked by a solve.
-Values and vectors (columns) stay arrays inside; :class:`EigenPair` lists
-and input checks exist only at the public edge.  The linear solver is
+above 1e-8 (from sigma near 1e4 to 1e6, by n) gets an operator and is
+checked by a solve.  The sigma list is checked once, by the sigma rule of
+:mod:`smoothgd.smoothing`, and carried as a float array; the route's range
+ends where A(sigma) is singular to working precision (from about 1.13e15,
+2.25e15 at n = 2), and a sigma past it is refused on its turn.  Values and
+vectors (columns) stay arrays inside; :class:`EigenPair` lists and matrix
+checks exist only at the public edge.  The linear solver is
 self-contained Gaussian elimination with partial pivoting, an independent
 cross-check for the structured (Fourier / tridiagonal) routes in
 :mod:`smoothgd.smoothing`.
@@ -187,15 +191,16 @@ def _residual_bounds(b, sigmas, values, cols):
         return (np.linalg.norm(r, axis=1) + rounding).max(axis=1)
 
 
-def _map_back(ops, b, values, vectors):
+def _map_back(b, sigmas, values, vectors):
     """Eigenpairs of A^(-1) B from those of its similar form, per sigma.
 
-    ``ops`` holds the smoother A of each sigma of the stack.  Every column
-    of ``vectors`` goes back through A^(-1/2), and is renormalized and
-    sign-fixed, all sigmas at once; the pairs are then sorted by descending
-    value, stably, so ties keep block order.  The generator yields each
-    sigma's (values, columns) in turn, after checking that every pair
-    satisfies ||A^(-1) B v - lambda v|| <= 1e-8; otherwise it raises
+    ``sigmas`` is the stack's float array of checked strengths, in the
+    route's range (:func:`_preconditioned`).  Every column of ``vectors``
+    goes back through A^(-1/2), and is renormalized and sign-fixed, all
+    sigmas at once; the pairs are then sorted by descending value, stably,
+    so ties keep block order.  The generator yields each sigma's (values,
+    columns) in turn, after checking that every pair satisfies
+    ||A^(-1) B v - lambda v|| <= 1e-8; otherwise it raises
     :class:`ConvergenceError` with the worst residual, on that sigma's turn.
 
     The check first bounds every residual from above, for the whole stack
@@ -203,15 +208,15 @@ def _map_back(ops, b, values, vectors):
     A^(-1) (B v - lambda A v), and A >= I gives ||A^(-1)|| <= 1, so the
     stencil residual ||B v - lambda A v|| plus its rounding is at least the
     residual.  A sigma whose bound is at most 1e-8 passes with no solve.
-    Only a sigma whose bound is above it, or not finite, is decided
-    exactly, by that sigma's batched ``solve`` (Thomas or the FFT, by size).
-    The rounding term grows with sigma and passes 1e-8 from about 6e5 at
-    n = 22 (3e6 at n = 3, 3e4 at n = 500), where the exact residuals are
-    still about 1e-11; at huge sigma the bound overflows, and the exact
-    check's Thomas breakdown is what is raised.  So the pairs accepted, the
+    Only a sigma whose bound is above it, or not finite, gets an operator
+    A, and is decided exactly by its batched ``solve`` (Thomas or the FFT,
+    by size).  The rounding term grows with sigma and passes 1e-8 from
+    about 6e5 at n = 22 (3e6 at n = 3, 3e4 at n = 500), where the exact
+    residuals are still about 1e-11; should the exact check's Thomas solve
+    break down, that is what is raised.  So the pairs accepted, the
     rejections and their residuals are those of the exact check alone.
     """
-    sigmas = np.array([op.sigma for op in ops])
+    n = b.shape[0]
     mapped = smoothing._inv_sqrt_stack(vectors, sigmas)
     del vectors
     mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
@@ -221,9 +226,10 @@ def _map_back(ops, b, values, vectors):
     order = np.argsort(-values, axis=1, kind="stable")
     ranked = zip(np.take_along_axis(values, order, axis=1),
                  np.take_along_axis(cols, order[:, None, :], axis=2))
-    for op, value, col, bound, result in zip(ops, values, cols, bounds,
-                                             ranked):
+    for sigma, value, col, bound, result in zip(sigmas.tolist(), values,
+                                                cols, bounds, ranked):
         if not bound <= 1e-8:   # above the bound, or not finite
+            op = smoothing.CirculantSmoother(n, sigma)
             residual = np.max(np.linalg.norm(
                 op.solve(b @ col) - col * value, axis=0))
             if not residual <= 1e-8:   # a NaN residual fails too
@@ -233,21 +239,43 @@ def _map_back(ops, b, values, vectors):
         yield result
 
 
+def _singular(n, sigma):
+    """Whether A(sigma) is singular to working precision.
+
+    That is (1 + 4c) eps >= 1, with c the coupling: 1 + 4c bounds A's
+    condition number, and is it at every even n.  There the absolute 1e-8
+    residual limit lies above the whole spectrum of A^(-1) B, so no
+    eigenpair can be trusted.
+    """
+    c = smoothing._coupling(n, sigma)
+    return (1.0 + 4.0 * c) * np.finfo(float).eps >= 1.0
+
+
 def _preconditioned(b, sigmas, blocks=None):
     """Eigenvalues (descending) and eigenvectors (columns) of A(sigma)^(-1) B.
 
-    A generator over the sequence ``sigmas``: it yields (values, columns)
-    for each sigma in turn, decomposing the list in stacks that keep each
-    stacked n x n array within ``_STACK_BYTES``.  See :func:`_similar_eigh`
-    for ``blocks``.  ``b`` must already be a symmetric float matrix.
+    A generator over the sequence ``sigmas``, each checked by the sigma
+    rule before anything is computed: it yields (values, columns) for each
+    sigma in turn, decomposing the list in stacks that keep each stacked
+    n x n array within ``_STACK_BYTES``.  The route's range ends where
+    A(sigma) is singular to working precision (:func:`_singular`); the
+    first sigma past it raises ArithmeticError on its turn, and is never
+    decomposed.  See :func:`_similar_eigh` for ``blocks``.  ``b`` must
+    already be a symmetric float matrix.
     """
     n = b.shape[0]
+    sigmas = [smoothing._check_sigma(s) for s in sigmas]
+    stop = next((i for i, s in enumerate(sigmas) if _singular(n, s)),
+                len(sigmas))
+    in_range = np.array(sigmas[:stop])
     size = max(1, _STACK_BYTES // (8 * n * n))
-    for start in range(0, len(sigmas), size):
-        ops = [smoothing.CirculantSmoother(n, s)
-               for s in sigmas[start:start + size]]
-        stack = np.array([op.sigma for op in ops])
-        yield from _map_back(ops, b, *_similar_eigh(b, stack, blocks))
+    for start in range(0, stop, size):
+        stack = in_range[start:start + size]
+        yield from _map_back(b, stack, *_similar_eigh(b, stack, blocks))
+    if stop < len(sigmas):
+        raise ArithmeticError(
+            f"A(sigma) is singular to working precision at sigma = "
+            f"{sigmas[stop]:g} (n = {n})")
 
 
 def eig_preconditioned_hessian(b, sigma):
@@ -256,7 +284,11 @@ def eig_preconditioned_hessian(b, sigma):
     The product itself is not symmetric, but it is similar to the symmetric
     matrix A^(-1/2) B A^(-1/2), which is what actually gets decomposed; the
     eigenvectors are mapped back through A^(-1/2) and renormalized.  Each
-    returned pair satisfies ||A^(-1) B v - lambda v|| <= 1e-8.
+    returned pair satisfies ||A^(-1) B v - lambda v|| <= 1e-8.  A sigma
+    that is not finite and >= 0 raises ValueError; one where A(sigma) is
+    singular to working precision, (1 + 4c) eps >= 1 with c the coupling,
+    raises ArithmeticError: there the absolute limit lies above the whole
+    spectrum, and at n = 2 it once let the pair through at half its value.
 
     Returns a list of EigenPair sorted by descending eigenvalue.
     """

@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, optimizers
-from .smoothing import CirculantSmoother
+from .smoothing import CirculantSmoother, _check_dim, _check_sigma
 
 __all__ = [
     "QuadraticObjective",
@@ -78,6 +78,7 @@ class QuadraticObjective:
 
     def __init__(self, matrix, scale=1.0):
         m = linalg._as_square(matrix)
+        _check_dim(m.shape[0])
         linalg._require_symmetric(m)
         m = 0.5 * (m + m.T)
         m.setflags(write=False)
@@ -156,9 +157,7 @@ class QuadraticObjective:
 
 def canonical_objective(n, scale=1.0):
     """The n-dimensional saddle with Hessian scale * diag(1, ..., 1, -1)."""
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    d = np.ones(int(n))
+    d = np.ones(_check_dim(n))
     d[-1] = -1.0
     return QuadraticObjective._from_diagonal(d, scale)
 
@@ -374,9 +373,7 @@ def eigen_structure(objective, sigma, tol=1e-8):
     unclassified vector, or family counts different from (floor((n-1)/2),
     floor(n/2), 1), raise :class:`ClassificationError` instead.
     """
-    sigma = float(sigma)
-    if not np.isfinite(sigma) or sigma < 0.0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = _check_sigma(sigma)
     canonical = objective.is_canonical
     values, columns = _decomposition(objective, sigma)
     labels, residuals = _classify(values, columns.T, tol)
@@ -414,9 +411,7 @@ def canonical_attraction_basis(n):
     callers share one immutable object: the dataclasses are frozen and the
     basis rows read-only.
     """
-    if not isinstance(n, (int, np.integer)) or n < 2:
-        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-    return _canonical_split(int(n))
+    return _canonical_split(_check_dim(n))
 
 
 @functools.lru_cache(maxsize=4)

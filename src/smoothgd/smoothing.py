@@ -52,6 +52,10 @@ _FOURIER_FROM_N = 64
 # than |u_i|), so no q_i t can overflow.
 _FOLD_IN_LIMIT = 2.0 ** 1000
 
+# Largest coupling c for which no c * symbol can overflow: the ring symbol
+# is at most 4.
+_WIDEST_C = np.finfo(float).max / 4.0
+
 
 @functools.lru_cache(maxsize=8)
 def _ring_symbol(n):
@@ -63,6 +67,21 @@ def _ring_symbol(n):
     return symbol
 
 
+def _check_dim(n):
+    """The ring size n as an int; anything but an integer >= 2 raises."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
+    return int(n)
+
+
+def _check_sigma(sigma):
+    """The strength sigma as a float; anything not finite and >= 0 raises."""
+    sigma = float(sigma)
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    return sigma
+
+
 def _coupling(n, sigma):
     # coupling to each ring neighbour; at n = 2 both are the same entry
     return sigma / 2.0 if n == 2 else sigma
@@ -71,11 +90,21 @@ def _coupling(n, sigma):
 def _spectra(n, sigmas):
     """Eigenvalues 1 + c * symbol of A(sigma) in DFT mode order.
 
-    ``sigmas`` is a scalar, giving shape (n,), or a sequence of S values,
-    giving one row per sigma, (S, n).
+    ``sigmas`` is a float, giving shape (n,), or an (S,) float array,
+    giving one row per sigma, (S, n).  A coupling above _WIDEST_C may make
+    an eigenvalue inf, which is A's eigenvalue in the limit (and 1 / inf =
+    0 its inverse); only there is the overflow's warning turned off.
     """
-    c = _coupling(n, np.asarray(sigmas, dtype=float))
-    return 1.0 + c[..., None] * _ring_symbol(n)
+    c = _coupling(n, sigmas)
+    if isinstance(c, np.ndarray):
+        wide = c.max(initial=0.0) > _WIDEST_C
+        c = c[:, None]
+    else:
+        wide = c > _WIDEST_C
+    if wide:
+        with np.errstate(over="ignore"):
+            return 1.0 + c * _ring_symbol(n)
+    return 1.0 + c * _ring_symbol(n)
 
 
 def _inv_sqrt_stack(x, sigmas):
@@ -117,14 +146,9 @@ class CirculantSmoother:
     """
 
     def __init__(self, n, sigma):
-        if not isinstance(n, (int, np.integer)) or n < 2:
-            raise ValueError(f"dimension must be an integer >= 2, got {n!r}")
-        sigma = float(sigma)
-        if not np.isfinite(sigma) or sigma < 0.0:
-            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        self._n = int(n)
-        self._sigma = sigma
-        self._c = _coupling(self._n, sigma)
+        self._n = _check_dim(n)
+        self._sigma = _check_sigma(sigma)
+        self._c = _coupling(self._n, self._sigma)
         self._spectrum = None
         self._thomas = None
 

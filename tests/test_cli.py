@@ -303,6 +303,11 @@ def test_sweep_whose_every_cell_overflows_prints_one_error(tmp_path, capsys,
     ["optimize", "--x0", "x3", "--n", "3", "--schedule", "gd",
      "--iters", "100000", "--eps", "1e-3"],
     ["smooth", "--method", "dense", "--sigma", "1e300", "--input", "y5"],
+    # A(sigma) is singular to working precision: at n = 2 the pair once
+    # came out at half its exact value, and at 1e308 the spectrum
+    # overflowed with warnings on the way
+    ["analyze", "--n", "2", "--sigma-list", "1e45"],
+    ["analyze", "--n", "4", "--sigma-list", "1e308"],
 ])
 def test_overflow_fails_in_one_line(args, tmp_path, capsys):
     write_vector(tmp_path / "x3", [1.0, 2.0, 3.0])
@@ -370,6 +375,48 @@ def test_analyze_at_huge_sigma_is_a_numerical_error(args, capsys):
     assert run_cli(args) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("smoothgd: error: ")
+
+
+def test_smooth_near_the_float_limit_is_silent(tmp_path, capsys):
+    # every eigenvalue but the mean's is inf: the solve is the mean
+    src = tmp_path / "y.txt"
+    write_vector(src, [1.0, 2.0, 3.0, 4.0])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["smooth", "--method", "dft", "--sigma", "1e308",
+                        "--input", str(src)]) == 0
+    assert caught == []
+    assert capsys.readouterr() == ("2.5\n" * 4, "")
+
+
+@pytest.mark.parametrize("command", ["optimize", "analyze"])
+def test_one_dimensional_matrix_file_is_a_usage_error(command, tmp_path,
+                                                      capsys):
+    # the n rule, as for --n 1
+    mat = tmp_path / "one.txt"
+    write_matrix(mat, [[1.0]])
+    vector = tmp_path / "x.txt"
+    write_vector(vector, [0.5])
+    args = [command, "--objective", str(mat)]
+    if command == "optimize":
+        args += ["--x0", str(vector)]
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err == (
+        "smoothgd: usage error: dimension must be an integer >= 2, got 1\n")
+
+
+@pytest.mark.parametrize("flag", ["--coarse-theta-step",
+                                  "--fine-theta-step"])
+def test_sweep_with_a_step_wider_than_the_span_keeps_one_angle(flag,
+                                                               tmp_path,
+                                                               capsys):
+    fine = tmp_path / "fine.csv"
+    assert run_cli(["sweep", "--r-min", "0.1", "--r-max", "0.2",
+                    "--r-step", "0.1", flag, "1e12", "--iters", "20",
+                    "--out", str(fine)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "min_distance" in captured.out
+    assert len(fine.read_text().splitlines()) > 1
 
 
 @pytest.mark.parametrize("objective", ["canonical", "matrix"])

@@ -222,32 +222,34 @@ def test_stacked_route_matches_the_per_sigma_oracle(n, monkeypatch):
 # for: sigma = 0 and every power of ten from 1e-2 to 1e300, so the list
 # crosses where the bound's rounding allowance sends each sigma to the
 # exact check (near 6e5 at n = 22) and where Thomas breaks down (from about
-# 1e16 at small n).
+# 1e16 at small n).  The eigen route hands the map back no sigma past its
+# range (A(sigma) singular to working precision, from about 1e15), but the
+# map back is checked beyond it too.
 BOUND_SIZES = (2, 3, 5, 8, 13, 22, 40, 64, 70)
-BOUND_SIGMAS = (0.0,) + tuple(10.0 ** k for k in range(-2, 301))
+BOUND_SIGMAS = np.array((0.0,) + tuple(10.0 ** k for k in range(-2, 301)))
 
 
-def _exact_columns(ops, vectors):
+def _exact_columns(sigmas, vectors):
     # the map back's columns: through A^(-1/2), renormalized, sign-fixed
-    mapped = smoothing._inv_sqrt_stack(
-        vectors, np.array([op.sigma for op in ops]))
+    mapped = smoothing._inv_sqrt_stack(vectors, sigmas)
     mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
     return linalg._sign_fix_columns(mapped)
 
 
-def _exact_residual(op, b, value, col):
+def _exact_residual(sigma, b, value, col):
+    op = CirculantSmoother(b.shape[0], sigma)
     return np.max(np.linalg.norm(op.solve(b @ col) - col * value, axis=0))
 
 
-def _exact_map_back(ops, b, values, vectors):
+def _exact_map_back(b, sigmas, values, vectors):
     # the map back with every sigma checked by its own solve, as before
     # the stencil bound
-    cols = _exact_columns(ops, vectors)
+    cols = _exact_columns(sigmas, vectors)
     order = np.argsort(-values, axis=1, kind="stable")
     ranked = zip(np.take_along_axis(values, order, axis=1),
                  np.take_along_axis(cols, order[:, None, :], axis=2))
-    for op, value, col, result in zip(ops, values, cols, ranked):
-        residual = _exact_residual(op, b, value, col)
+    for sigma, value, col, result in zip(sigmas, values, cols, ranked):
+        residual = _exact_residual(sigma, b, value, col)
         if not residual <= 1e-8:
             raise linalg.ConvergenceError(
                 "back-transformed eigenpair failed its residual check",
@@ -255,15 +257,15 @@ def _exact_map_back(ops, b, values, vectors):
         yield result
 
 
-def _outcomes(map_back, ops, b, values, vectors, stack=4):
+def _outcomes(map_back, b, sigmas, values, vectors, stack=4):
     """Each sigma's yield or exception, in stacks of ``stack`` sigmas.
 
     After an exception the stream restarts at the next sigma of its stack.
     """
     out, start = [], 0
-    while start < len(ops):
+    while start < len(sigmas):
         end = (start // stack + 1) * stack
-        stream = map_back(ops[start:end], b, values[start:end],
+        stream = map_back(b, sigmas[start:end], values[start:end],
                           vectors[start:end])
         try:
             for got_values, got_cols in stream:
@@ -295,22 +297,22 @@ def test_stencil_bound_decides_as_the_exact_check(n):
     accepted = decided_exactly = 0
     for objective in _bound_matrices(n):
         b = objective.matrix
-        ops = [CirculantSmoother(n, s) for s in BOUND_SIGMAS]
         values, vectors = linalg._similar_eigh(
-            b, np.array(BOUND_SIGMAS), saddle._blocks(objective))
+            b, BOUND_SIGMAS, saddle._blocks(objective))
         # raises where the exact check fails, with its residual (or the
         # same Thomas breakdown), and yields the same bits elsewhere; the
         # oracle runs a sigma at a time, the map back in stacks
-        assert (_outcomes(linalg._map_back, ops, b, values, vectors)
-                == _outcomes(_exact_map_back, ops, b, values, vectors, 1))
+        assert (_outcomes(linalg._map_back, b, BOUND_SIGMAS, values, vectors)
+                == _outcomes(_exact_map_back, b, BOUND_SIGMAS, values,
+                             vectors, 1))
         # wherever the bound accepts, the exact residual is within 1e-8
-        cols = _exact_columns(ops, vectors)
-        bounds = linalg._residual_bounds(
-            b, np.array(BOUND_SIGMAS), values, cols)
-        for op, value, col, bound in zip(ops, values, cols, bounds):
+        cols = _exact_columns(BOUND_SIGMAS, vectors)
+        bounds = linalg._residual_bounds(b, BOUND_SIGMAS, values, cols)
+        for sigma, value, col, bound in zip(BOUND_SIGMAS, values, cols,
+                                            bounds):
             if bound <= 1e-8:
                 accepted += 1
-                assert _exact_residual(op, b, value, col) <= 1e-8
+                assert _exact_residual(sigma, b, value, col) <= 1e-8
             else:
                 decided_exactly += 1
     # both sides of the bound are reached

@@ -50,6 +50,15 @@ def test_grid_counts():
     assert len(full.theta_values()) == 360
 
 
+def test_a_step_wider_than_the_span_keeps_theta_min():
+    # a half-open [theta_min, theta_max) with a positive span holds
+    # theta_min however wide the step
+    for step in (360.0, 1e9 * 360.0, 1e12, 1e300):
+        grid = PolarGrid(0.1, 0.3, 0.1, -180.0, 180.0, step)
+        assert grid.theta_values().tolist() == [-180.0]
+        assert grid.cells == 3
+
+
 def test_grid_validation():
     with pytest.raises(ValueError):
         PolarGrid(0.0, 1.0, 0.1, 0.0, 90.0, 1.0)

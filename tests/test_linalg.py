@@ -152,15 +152,14 @@ def test_preconditioned_matches_dense_route(rng):
 def test_map_back_rejects_a_perturbed_eigenvector(rng):
     b = rng.standard_normal((6, 6))
     b = 0.5 * (b + b.T)
-    sigmas = (0.4, 1.5, 3.0)
-    ops = [CirculantSmoother(6, s) for s in sigmas]
-    values, vectors = linalg._similar_eigh(b, np.array(sigmas))
-    got = list(linalg._map_back(ops, b, values, vectors))
+    sigmas = np.array((0.4, 1.5, 3.0))
+    values, vectors = linalg._similar_eigh(b, sigmas)
+    got = list(linalg._map_back(b, sigmas, values, vectors))
     assert [cols.shape for _, cols in got] == [(6, 6)] * 3
     # perturb one sigma's column inside the stack: the sigma before it
     # passes its check, this one fails it
     vectors[1, :, 3] += 1e-4 * vectors[1, :, 0]
-    stream = linalg._map_back(ops, b, values, vectors)
+    stream = linalg._map_back(b, sigmas, values, vectors)
     next(stream)
     with pytest.raises(ConvergenceError) as info:
         next(stream)
@@ -171,11 +170,10 @@ def test_map_back_rejects_a_nan_residual(rng):
     # a NaN residual fails the check: NaN > 1e-8 alone would let it pass
     b = rng.standard_normal((6, 6))
     b = 0.5 * (b + b.T)
-    sigmas = (0.4, 1.5, 3.0)
-    ops = [CirculantSmoother(6, s) for s in sigmas]
-    values, vectors = linalg._similar_eigh(b, np.array(sigmas))
+    sigmas = np.array((0.4, 1.5, 3.0))
+    values, vectors = linalg._similar_eigh(b, sigmas)
     values[1, 2] = np.nan
-    stream = linalg._map_back(ops, b, values, vectors)
+    stream = linalg._map_back(b, sigmas, values, vectors)
     next(stream)
     with pytest.raises(ConvergenceError) as info:
         next(stream)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smoothgd import saddle
+from smoothgd import linalg, saddle
 from smoothgd.linalg import eig_preconditioned_hessian
 from smoothgd.optimizers import ConstantSigma, RatioSigma
 from smoothgd.saddle import (
@@ -476,3 +476,81 @@ def test_calls_out_of_turn_do_not_take_the_shared_stack():
         assert es.values.tobytes() == ref.values.tobytes()
         assert es.columns.tobytes() == ref.columns.tobytes()
     assert saddle._shared.get() is None
+
+
+def test_each_input_rule_has_one_message():
+    # the n rule and the sigma rule read the same from every owner
+    for build in (lambda: CirculantSmoother(1, 0.5),
+                  lambda: canonical_objective(1),
+                  lambda: canonical_attraction_basis(1),
+                  lambda: QuadraticObjective(np.eye(1))):
+        with pytest.raises(ValueError) as info:
+            build()
+        assert str(info.value) == "dimension must be an integer >= 2, got 1"
+    objective = canonical_objective(3)
+    for sigma in (-1.0, math.inf, math.nan):
+        for build in (lambda: CirculantSmoother(3, sigma),
+                      lambda: eigen_structure(objective, sigma),
+                      lambda: eig_preconditioned_hessian(np.eye(3), sigma)):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == (
+                f"sigma must be finite and >= 0, got {float(sigma)}")
+
+
+# The eigen route's range over canonical sizes: sigma = 10^k for k = -2 ..
+# 300, and 300 seeded sigmas with exponents in [5, 40], around where
+# A(sigma) becomes singular to working precision (about 1e15).
+RANGE_SIZES = (2, 3, 4, 5, 8, 13, 22, 40)
+RANGE_SIGMAS = ([10.0 ** k for k in range(-2, 301)]
+                + (10.0 ** np.random.default_rng(2400).uniform(5.0, 40.0, 300))
+                .tolist())
+
+
+@pytest.mark.parametrize("n", RANGE_SIZES)
+def test_canonical_spectrum_is_accurate_wherever_it_is_accepted(n):
+    # n = 2's pair is +-1 / sqrt(1 + 2 sigma); from n = 3 the antisymmetric
+    # values are 1 / (1 + 2 sigma (1 - cos(2 pi k / n))), k = 1 ..
+    # floor((n - 1) / 2), next to exactly one negative value
+    objective = canonical_objective(n)
+    for sigma in RANGE_SIGMAS:
+        try:
+            es = eigen_structure(objective, sigma)
+        except (ArithmeticError, RuntimeError):
+            # n = 2 is refused only where A(sigma) is singular to working
+            # precision; from n = 3 the residual check refuses from 1e8 on
+            assert sigma > (2.2e15 if n == 2 else 1e8)
+            continue
+        if n == 2:
+            exact = 1.0 / math.sqrt(1.0 + 2.0 * sigma)
+            np.testing.assert_allclose(es.values, [exact, -exact], rtol=1e-8)
+            continue
+        k = np.arange(1, (n - 1) // 2 + 1)
+        exact = np.sort(1.0 / (1.0 + 2.0 * sigma
+                               * (1.0 - np.cos(2.0 * np.pi * k / n))))
+        anti = np.sort(es.values[[label is ModeClass.ANTISYMMETRIC_SINE
+                                  for label in es.labels]])
+        np.testing.assert_allclose(anti, exact, rtol=1e-6)
+        assert np.count_nonzero(es.values < 0) == 1
+
+
+def test_the_eigen_route_refuses_a_singular_operator_on_its_turn(
+        monkeypatch):
+    # (1 + 4c) eps >= 1, c = sigma / 2 at n = 2: the sigmas before it are
+    # yielded, and it is never decomposed
+    decomposed = []
+    similar_eigh = linalg._similar_eigh
+
+    def spy(b, sigmas, blocks=None):
+        decomposed.extend(sigmas.tolist())
+        return similar_eigh(b, sigmas, blocks)
+
+    monkeypatch.setattr(linalg, "_similar_eigh", spy)
+    b = np.diag([1.0, -1.0])
+    stream = linalg._preconditioned(b, [1.0, 2.2e15, 2.3e15, 0.5])
+    assert len(next(stream)[0]) == 2 and len(next(stream)[0]) == 2
+    with pytest.raises(ArithmeticError, match="sigma = 2.3e\\+15 \\(n = 2\\)"):
+        next(stream)
+    assert decomposed == [1.0, 2.2e15]
+    with pytest.raises(ArithmeticError, match="singular to working precision"):
+        eig_preconditioned_hessian(np.diag([1.0, 1.0, -1.0]), 1.2e15)

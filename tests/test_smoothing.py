@@ -8,7 +8,7 @@ import pytest
 from smoothgd.optimizers import PlateauSigma, RunConfig, RunStatus, run
 from smoothgd.saddle import canonical_objective
 from smoothgd.smoothing import (_FOURIER_FROM_N, CirculantSmoother,
-                                solve_smoothed_pair)
+                                _ring_symbol, solve_smoothed_pair)
 
 
 def test_spectrum_n4_sigma1_exact():
@@ -376,6 +376,26 @@ def test_thomas_overflow_of_finite_entries_is_silent(n, sigma, y):
         for _ in range(2):
             got = getattr(op, route)(y)
             assert np.array_equal(got, expect, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [4, 64])
+def test_spectrum_near_the_float_limit_is_silent(n, monkeypatch):
+    # 1 + c * symbol is inf there, A's eigenvalue in the limit, and its
+    # weight 0 the limit of the inverse: the Fourier routes return the
+    # mean, with no warning (a RuntimeWarning fails the test)
+    y = np.arange(1.0, n + 1.0)
+    op = CirculantSmoother(n, 1e308)
+    assert op.spectrum()[0] == 1.0 and np.isinf(op.spectrum()).any()
+    np.testing.assert_allclose(op.solve_dft(y), np.full(n, y.mean()))
+    np.testing.assert_allclose(op.inv_sqrt_apply(y), np.full(n, y.mean()))
+
+    # below the limit the spectrum is taken without an errstate context
+    def no_errstate(**kwargs):
+        raise AssertionError("np.errstate entered")
+
+    monkeypatch.setattr(np, "errstate", no_errstate)
+    np.testing.assert_array_equal(CirculantSmoother(n, 1e300).spectrum(),
+                                  1.0 + 1e300 * _ring_symbol(n))
 
 
 def test_inv_sqrt_shape_validation():
